@@ -8,6 +8,7 @@ vertex id so repeated runs produce identical results.
 from __future__ import annotations
 
 import heapq
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -231,6 +232,38 @@ def canonical_path(
     return path
 
 
+def _scaled(edge_list: Sequence[tuple[int, int]], weight: Weight) -> tuple[list[int], int]:
+    """Exact integer images ``w * scale`` of the weights of ``edge_list``.
+
+    ``scale`` is the LCM of the weights' denominators. Scaling by a positive
+    constant keeps every sum and comparison, so the integer kernels below
+    take the same steps as they would over rationals, and an integer result
+    ``r`` stands for ``Fraction(r, scale)``.
+    """
+    ws = [weight(u, v) for u, v in edge_list]
+    scale = math.lcm(*(w.denominator for w in ws))
+    return [w.numerator * (scale // w.denominator) for w in ws], scale
+
+
+def _relax_from_zero(n: int, weighted: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Bellman-Ford from a virtual source joined to every vertex at cost 0.
+
+    ``weighted`` lists (u, v, w) triples in relaxation order. The caller
+    must guarantee there is no negative cycle.
+    """
+    dist = [0] * n
+    for _ in range(n):
+        changed = False
+        for u, v, w in weighted:
+            cand = dist[u] + w
+            if cand < dist[v]:
+                dist[v] = cand
+                changed = True
+        if not changed:
+            return dist
+    raise AssertionError("negative cycle in potential computation")
+
+
 def bellman_ford_potentials(
     n: int, edges: Iterable[tuple[int, int]], weight: Weight
 ) -> list[Fraction]:
@@ -240,82 +273,70 @@ def bellman_ford_potentials(
     here means that guarantee was broken.
     """
     edge_list = sorted(set(edges))
-    dist = [Fraction(0)] * n
-    for _ in range(n):
-        changed = False
-        for u, v in edge_list:
-            cand = dist[u] + weight(u, v)
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            break
-    else:
-        raise AssertionError("negative cycle in potential computation")
-    return dist
+    ws, scale = _scaled(edge_list, weight)
+    dist = _relax_from_zero(n, [(u, v, w) for (u, v), w in zip(edge_list, ws)])
+    return [Fraction(d, scale) for d in dist]
 
 
-def _karp_min_mean(
-    comp: list[int], edges: list[tuple[int, int]], weight: Weight
-) -> Fraction | None:
-    """Minimum cycle mean inside one strongly connected component."""
-    if not edges:
+def _karp_min_mean(m: int, ledges: list[tuple[int, int, int]]) -> tuple[int, int] | None:
+    """Minimum cycle mean ``num / den`` (den > 0) of a strongly connected graph.
+
+    The graph has vertices 0..m-1 and integer-weighted edges (u, v, w).
+    Means are compared by cross-multiplying, so no division happens.
+    """
+    if not ledges:
         return None
-    local = {v: i for i, v in enumerate(comp)}
-    m = len(comp)
-    ledges = [(local[u], local[v], weight(u, v)) for u, v in edges]
-    d: list[list[Fraction | None]] = [[None] * m for _ in range(m + 1)]
-    d[0][0] = Fraction(0)
+    d: list[list[int | None]] = [[None] * m for _ in range(m + 1)]
+    d[0][0] = 0
     for k in range(1, m + 1):
         prev, cur = d[k - 1], d[k]
         for u, v, w in ledges:
-            if prev[u] is not None:
-                cand = prev[u] + w
-                if cur[v] is None or cand < cur[v]:
+            p = prev[u]
+            if p is not None:
+                cand = p + w
+                c = cur[v]
+                if c is None or cand < c:
                     cur[v] = cand
-    best: Fraction | None = None
+    last = d[m]
+    best: tuple[int, int] | None = None
     for v in range(m):
-        if d[m][v] is None:
+        if last[v] is None:
             continue
-        worst: Fraction | None = None
+        worst: tuple[int, int] | None = None
         for k in range(m):
-            if d[k][v] is None:
+            dk = d[k][v]
+            if dk is None:
                 continue
-            ratio = (d[m][v] - d[k][v]) / (m - k)
-            if worst is None or ratio > worst:
-                worst = ratio
-        if worst is not None and (best is None or worst < best):
+            num, den = last[v] - dk, m - k
+            if worst is None or num * worst[1] > worst[0] * den:
+                worst = (num, den)
+        if worst is not None and (best is None or worst[0] * best[1] < best[0] * worst[1]):
             best = worst
     return best
 
 
 def _extract_mean_cycle(
-    comp: list[int], edges: list[tuple[int, int]], weight: Weight, mean: Fraction
+    comp: list[int], ledges: list[tuple[int, int, int]], mean: tuple[int, int]
 ) -> list[int]:
-    """Find a cycle of the given (minimum) mean inside one component.
+    """Find a cycle of the given (minimum) mean ``num / den`` inside one component.
 
-    After shifting every weight by the mean, minimum-mean cycles become
-    zero-sum and lie entirely on tight shortest-path edges.
+    ``ledges`` are the component's edges over local ids (positions in
+    ``comp``). After shifting every weight by the mean, minimum-mean cycles
+    become zero-sum and lie entirely on tight shortest-path edges; the shift
+    is multiplied by ``den`` to stay integral.
     """
-    shifted = lambda u, v: weight(u, v) - mean
-    pot = {v: Fraction(0) for v in comp}
-    for _ in range(len(comp)):
-        changed = False
-        for u, v in sorted(edges):
-            cand = pot[u] + shifted(u, v)
-            if cand < pot[v]:
-                pot[v] = cand
-                changed = True
-        if not changed:
-            break
-    tight: dict[int, list[int]] = {v: [] for v in comp}
-    for u, v in sorted(edges):
-        if pot[u] + shifted(u, v) == pot[v]:
+    num, den = mean
+    m = len(comp)
+    shifted = [(u, v, w * den - num) for u, v, w in ledges]
+    pot = _relax_from_zero(m, shifted)
+    tight: list[list[int]] = [[] for _ in range(m)]
+    for u, v, s in shifted:
+        if pot[u] + s == pot[v]:
             tight[u].append(v)
     # Any cycle of tight edges telescopes to a zero shifted sum.
-    color = {v: 0 for v in comp}
-    stack_pos: dict[int, int] = {}
-    for root in comp:
+    color = [0] * m
+    stack_pos = [0] * m
+    for root in range(m):
         if color[root]:
             continue
         path: list[int] = []
@@ -331,7 +352,7 @@ def _extract_mean_cycle(
                 w = tight[v][ei]
                 ei += 1
                 if color[w] == 1:
-                    cyc = path[stack_pos[w]:]
+                    cyc = [comp[x] for x in path[stack_pos[w]:]]
                     k = cyc.index(min(cyc))
                     return cyc[k:] + cyc[:k]
                 if color[w] == 0:
@@ -344,7 +365,7 @@ def _extract_mean_cycle(
             work.pop()
             color[v] = 2
             path.pop()
-    raise AssertionError(f"no cycle of mean {mean} found in component {comp}")
+    raise AssertionError(f"no cycle of mean {num}/{den} found in component {comp}")
 
 
 def min_cycle_mean(
@@ -356,21 +377,25 @@ def min_cycle_mean(
     listed from its smallest vertex.
     """
     edge_list = sorted(set(edges))
-    adj = out_adjacency(n, edge_list)
-    comps = strongly_connected_components(n, adj)
-    comp_id = {}
+    ws, scale = _scaled(edge_list, weight)
+    comps = strongly_connected_components(n, out_adjacency(n, edge_list))
+    comp_id = [0] * n
+    local = [0] * n
     for i, comp in enumerate(comps):
-        for v in comp:
+        for j, v in enumerate(comp):
             comp_id[v] = i
-    best: Fraction | None = None
-    best_comp: list[int] | None = None
-    best_edges: list[tuple[int, int]] | None = None
-    for comp in comps:
-        inner = [(u, v) for u, v in edge_list if comp_id[u] == comp_id[v] == comp_id[comp[0]]]
-        mean = _karp_min_mean(comp, inner, weight)
-        if mean is not None and (best is None or mean < best):
-            best, best_comp, best_edges = mean, comp, inner
+            local[v] = j
+    inner: list[list[tuple[int, int, int]]] = [[] for _ in comps]
+    for (u, v), w in zip(edge_list, ws):
+        if comp_id[u] == comp_id[v]:
+            inner[comp_id[u]].append((local[u], local[v], w))
+    best: tuple[int, int] | None = None
+    best_i = 0
+    for i, comp in enumerate(comps):
+        mean = _karp_min_mean(len(comp), inner[i])
+        if mean is not None and (best is None or mean[0] * best[1] < best[0] * mean[1]):
+            best, best_i = mean, i
     if best is None:
         return None, None
-    cycle = _extract_mean_cycle(best_comp, best_edges, weight, best)
-    return best, cycle
+    cycle = _extract_mean_cycle(comps[best_i], inner[best_i], best)
+    return Fraction(best[0], best[1] * scale), cycle

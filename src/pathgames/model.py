@@ -268,19 +268,25 @@ class PositivityReport:
         return self.edge_positive
 
 
+def _edge_positive(game: SPGame) -> bool:
+    """True iff every move costs every player a positive amount."""
+    return all(c > 0 for e in game.graph.edge_set for c in game.edge_cost[e])
+
+
 def is_positive(game: SPGame) -> PositivityReport:
+    # Positive edges make every cycle sum positive, so the cycle pass is
+    # needed only when some edge cost is not positive.
+    if _edge_positive(game):
+        return PositivityReport(True, True)
     g = game.graph
     edges = g.sorted_edges()
-    edge_positive = all(
-        c > 0 for e in edges for c in game.edge_cost[e]
-    )
     for player in g.players:
         mean, cycle = graphalg.min_cycle_mean(
             g.n_vertices, edges, lambda u, v, p=player: game.cost(u, v, p)
         )
         if mean is not None and mean <= 0:
-            return PositivityReport(edge_positive, False, player, tuple(cycle))
-    return PositivityReport(edge_positive, True)
+            return PositivityReport(False, False, player, tuple(cycle))
+    return PositivityReport(False, True)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .model import (
     SPGame,
     Situation,
     TerminalGame,
-    is_positive,
+    _edge_positive,
 )
 from .play import sp_cost, terminal_cost, trace
 
@@ -285,7 +285,7 @@ def verify_ne_sp(
     """
     start = _require_start(game, start)
     g = game.graph
-    if is_positive(game).edge_positive:
+    if _edge_positive(game):
         play = trace(g, situation, start)
         for player in g.players:
             cur = sp_cost(game, play, player)

@@ -22,6 +22,7 @@ from .model import (
     Situation,
     TERMINAL,
     TerminalGame,
+    _edge_positive,
     is_edge_symmetric,
 )
 
@@ -49,8 +50,11 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     player. For each player the new cost is l(u,v) + pi(u) - pi(v) where pi
     solves the difference constraints l(u,v) + pi(u) - pi(v) >= eps via
     shortest-path potentials, with eps set to half the minimum cycle mean.
-    Any fixed pair of endpoints keeps all its path costs shifted by the same
-    constant, so equilibria are unaffected.
+    Every path from u to v changes cost by pi(u) - pi(v), so paths between
+    the same endpoints keep their order and a game with a single terminal
+    keeps its equilibria. Paths to different terminals t and t' shift by
+    different amounts when pi(t) != pi(t'), so with several terminals an
+    equilibrium of the reweighted game need not be one of the input game.
 
     Already-positive games are returned unchanged with a zero potential.
     """
@@ -58,7 +62,7 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     n = g.n_vertices
     edges = g.sorted_edges()
     zero_row = (Fraction(0),) * n
-    if all(c > 0 for e in edges for c in game.edge_cost[e]):
+    if _edge_positive(game):
         return GallaiResult(game, Potential((zero_row,) * g.n_players))
 
     rows = []

@@ -17,6 +17,7 @@ from fractions import Fraction
 from . import graphalg, oracle
 from .errors import (
     MeasureNotDecreased,
+    NonPositiveCycle,
     NotPositive,
     NotSymmetric,
     Unreachable,
@@ -26,6 +27,7 @@ from .model import (
     GameGraph,
     SPGame,
     Situation,
+    _edge_positive,
     is_edge_symmetric,
     is_positive,
     lowest_id_situation,
@@ -366,11 +368,13 @@ def solve_theorem1(
     """Construct a NE of an edge-symmetric positive shortest path game.
 
     With ``transform`` set, a game whose costs are not all positive but whose
-    cycle sums are is first reweighted; the returned situation is then an
-    equilibrium of both versions since the reweighting shifts all terminal
-    path costs per player by a constant. If no terminal is reachable from the
-    start every play is infinitely bad for everyone, so the all-lowest-id
-    situation is returned.
+    cycle sums are is first reweighted by :func:`gallai_transform`, and the
+    returned situation is an equilibrium of the reweighted game. It is one
+    of the input game too when the game has a single terminal. With several
+    terminals it need not be: the reweighting shifts a player's path costs
+    by an amount that depends on the terminal reached, which can reorder
+    terminals. If no terminal is reachable from the start every play is
+    infinitely bad for everyone, so the all-lowest-id situation is returned.
     """
     g = game.graph
     if start is None:
@@ -379,15 +383,20 @@ def solve_theorem1(
         raise ValueError("a non-terminal start vertex is required")
     if not is_edge_symmetric(g):
         raise NotSymmetric("the graph is not edge-symmetric")
-    report = is_positive(game)
     working = game
-    if not report.edge_positive:
-        if not (transform and report.cycle_positive):
+    if not _edge_positive(game):
+        if not transform:
             raise NotPositive(
                 "edge costs are not all positive"
-                + ("" if report.cycle_positive else " and neither are cycle sums")
+                + ("" if is_positive(game).cycle_positive else " and neither are cycle sums")
             )
-        working = gallai_transform(game).game
+        # The reweighting runs the one cycle pass of the solve.
+        try:
+            working = gallai_transform(game).game
+        except NonPositiveCycle as exc:
+            raise NotPositive(
+                "edge costs are not all positive and neither are cycle sums"
+            ) from exc
 
     merged, mmap = merge_terminals(working)
     dec = decompose(merged)

@@ -106,9 +106,11 @@ def test_solve_sp_ne_g6s(capsys, example_file):
 
 
 def test_solve_sp_ne_requires_positivity(capsys, example_file):
-    code, _, err = run(capsys, "solve", "sp-ne", example_file("fig1-pm"))
-    assert code == 3
-    assert "positive" in err
+    path = example_file("fig1-pm")
+    for flags in ([], ["--transform"]):
+        code, _, err = run(capsys, "solve", "sp-ne", path, *flags)
+        assert code == 3
+        assert "neither are cycle sums" in err
 
 
 def test_solve_terminal_ne_g2(capsys, example_file):

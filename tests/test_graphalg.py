@@ -3,6 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
+
+import fraction_kernels
 import genutil
 from pathgames import graphalg
 
@@ -17,6 +20,23 @@ def random_digraph(rng, n_max=7):
     return n, sorted(edges)
 
 
+def weighted_digraphs(rng, count):
+    """Random digraphs under every kind of weight the cycle kernels must
+    handle exactly: mixed denominators 1-7, plain ints, negative and
+    zero-mean cycles, self-loops, and acyclic graphs."""
+    for _ in range(count):
+        n, edges = random_digraph(rng)
+        yield n, edges, {e: Fraction(rng.randint(-5, 9), rng.randint(1, 3)) for e in edges}
+        yield n, edges, {e: Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for e in edges}
+        yield n, edges, {e: rng.randint(-4, 6) for e in edges}
+        # Potential differences sum to zero around every cycle; the 0/1
+        # bumps leave some cycles at mean zero and lift the others.
+        pi = [Fraction(rng.randint(-6, 6), rng.randint(1, 7)) for _ in range(n)]
+        yield n, edges, {(u, v): pi[u] - pi[v] + rng.choice((0, 0, 1)) for u, v in edges}
+        dag = [(u, v) for u, v in edges if u < v]
+        yield n, dag, {e: Fraction(rng.randint(-5, 9), rng.randint(1, 7)) for e in dag}
+
+
 def test_scc_matches_naive():
     rng = random.Random(1)
     for _ in range(60):
@@ -27,22 +47,21 @@ def test_scc_matches_naive():
 
 def test_min_cycle_mean_against_brute_force():
     rng = random.Random(2)
-    for _ in range(60):
-        n, edges = random_digraph(rng)
-        weights = {e: Fraction(rng.randint(-5, 9), rng.randint(1, 3)) for e in edges}
+    for n, edges, weights in weighted_digraphs(rng, 60):
         weight = lambda u, v: weights[(u, v)]
         mean, cycle = graphalg.min_cycle_mean(n, edges, weight)
+        assert (mean, cycle) == fraction_kernels.min_cycle_mean(n, edges, weight)
         cycles = genutil.simple_cycles(n, edges)
         if not cycles:
             assert mean is None and cycle is None
             continue
         best = min(
-            sum(weight(u, v) for u, v in zip(c + (c[0],), (c + (c[0],))[1:])) / len(c)
+            Fraction(sum(weight(u, v) for u, v in zip(c + (c[0],), (c + (c[0],))[1:])), len(c))
             for c in cycles
         )
         assert mean == best
         closed = list(cycle) + [cycle[0]]
-        witness_mean = sum(weight(u, v) for u, v in zip(closed, closed[1:])) / len(cycle)
+        witness_mean = Fraction(sum(weight(u, v) for u, v in zip(closed, closed[1:])), len(cycle))
         assert witness_mean == mean
         assert all((u, v) in weights for u, v in zip(closed, closed[1:]))
 
@@ -86,11 +105,16 @@ def test_canonical_path_is_optimal_and_deterministic():
 
 def test_bellman_ford_potentials_relax_all_edges():
     rng = random.Random(5)
-    for _ in range(40):
-        n, edges = random_digraph(rng)
-        weights = {e: Fraction(rng.randint(1, 9), 2) for e in edges}
+    for n, edges, weights in weighted_digraphs(rng, 40):
         weight = lambda u, v: weights[(u, v)]
+        try:
+            expected = fraction_kernels.bellman_ford_potentials(n, edges, weight)
+        except AssertionError:
+            with pytest.raises(AssertionError, match="negative cycle"):
+                graphalg.bellman_ford_potentials(n, edges, weight)
+            continue
         pot = graphalg.bellman_ford_potentials(n, edges, weight)
+        assert pot == expected
         for u, v in edges:
             assert pot[u] + weight(u, v) >= pot[v]
 
