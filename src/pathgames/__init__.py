@@ -53,7 +53,7 @@ from .oracle import (
     verify_ne_terminal,
     verify_une,
 )
-from .play import Play, sp_cost, terminal_cost, trace
+from .play import Play, outcomes, sp_cost, terminal_cost, trace
 from .reductions import (
     ContractionMap,
     GallaiResult,

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ZeroSumMixedCycle
+from .errors import InternalCheckFailed, ZeroSumMixedCycle
 from .model import (
     MINUS_INF,
     PLUS_INF,
@@ -57,7 +57,8 @@ def trace(graph: GameGraph, situation: Situation, start: int) -> Play:
     v = start
     while True:
         v = situation[v]
-        assert v is not None, f"situation has no move at vertex {walk[-1]}"
+        if v is None:
+            raise InternalCheckFailed(f"situation has no move at vertex {walk[-1]}")
         if graph.is_terminal(v):
             return Play(prefix=tuple(walk), terminal=v)
         if v in seen:
@@ -65,6 +66,39 @@ def trace(graph: GameGraph, situation: Situation, start: int) -> Play:
             return Play(prefix=tuple(walk[: k + 1]), cycle=tuple(walk[k:]))
         seen[v] = len(walk)
         walk.append(v)
+
+
+def outcomes(graph: GameGraph, situation: Situation) -> list[int | None]:
+    """Terminal reached from every start vertex, or None for an infinite play.
+
+    One pass over the functional successor graph: each vertex is walked at
+    most once, and a walk stops at a terminal, at a vertex whose outcome is
+    already known, or when it closes a cycle of its own. A non-terminal
+    without a move raises InternalCheckFailed.
+    """
+    owner = graph.owner
+    moves = situation.moves
+    result: list[int | None] = [None] * graph.n_vertices
+    # 0 unvisited, 1 on the current walk, 2 outcome known
+    state = [0] * graph.n_vertices
+    for start in range(graph.n_vertices):
+        walk = []
+        v = start
+        while state[v] == 0:
+            if owner[v] is None:
+                result[v] = v
+                state[v] = 2
+                break
+            state[v] = 1
+            walk.append(v)
+            v = moves[v]
+            if v is None:
+                raise InternalCheckFailed(f"situation has no move at vertex {walk[-1]}")
+        end = result[v] if state[v] == 2 else None
+        for u in walk:
+            result[u] = end
+            state[u] = 2
+    return result
 
 
 def sp_cost(game: SPGame, play: Play, player: int) -> ExtCost:

@@ -225,25 +225,30 @@ def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMa
 def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
     """In-tree over a component: each non-root member's move toward the root.
 
-    Built by reverse breadth-first search so lifted walks are as short as
-    possible; within a layer the lowest-id parent wins.
+    Built by reverse breadth-first search over the component's own moves, so
+    lifted walks are as short as possible; within a layer the lowest-id
+    parent wins.
     """
     g = cmap.graph
-    members = set(cmap.members[cid])
+    into: dict[int, list[int]] = {v: [] for v in cmap.members[cid]}
+    for v in into:
+        for u in g.out[v]:
+            if u in into and u != v:
+                into[u].append(v)
     tree: dict[int, int] = {}
-    layer = {root}
-    assigned = {root}
-    while len(assigned) < len(members):
-        nxt = set()
-        for v in sorted(members - assigned):
-            parents = [u for u in g.out[v] if u in layer and u != v]
-            if parents:
-                tree[v] = parents[0]
-                nxt.add(v)
-        if not nxt:
-            raise AssertionError(f"component {cid} not strongly connected")
-        assigned |= nxt
-        layer = nxt
+    layer = [root]
+    reached = {root}
+    while layer:
+        nxt: dict[int, int] = {}
+        for u in layer:
+            for v in into[u]:
+                if v not in reached and (v not in nxt or u < nxt[v]):
+                    nxt[v] = u
+        tree.update(nxt)
+        reached.update(nxt)
+        layer = list(nxt)
+    if len(reached) < len(into):
+        raise AssertionError(f"component {cid} not strongly connected")
     return tree
 
 

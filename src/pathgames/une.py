@@ -13,14 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from . import graphalg
+
 from .errors import (
     ConditionViolated,
     PotentialNotDecreased,
     VerificationFailed,
 )
 from .model import GameGraph, Situation, TerminalGame, is_edge_symmetric
-from .play import terminal_cost, trace
+from .play import outcomes
 from .reductions import UnePrep, une_preprocess
 
 
@@ -54,25 +54,35 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
     g = game.graph
     n = g.n_vertices
     adj = _one_player_out(g, situation, player)
-    edges = [(v, w) for v in range(n) for w in adj[v]]
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in adj[v]:
+            radj[w].append(v)
 
-    comps = graphalg.strongly_connected_components(n, adj)
-    cyclic = set()
-    for comp in comps:
-        if len(comp) >= 2 or any(w == comp[0] for w in adj[comp[0]]):
-            cyclic.update(comp)
-    can_cycle = graphalg.reachable_to(n, edges, cyclic) if cyclic else set()
+    # Peel vertices whose every move leads to peeled ones, terminals first.
+    # Every walk from a peeled vertex ends, so exactly the vertices left
+    # with moves can cycle.
+    left = [len(moves) for moves in adj]
+    todo = [v for v in range(n) if not left[v]]
+    while todo:
+        v = todo.pop()
+        for u in radj[v]:
+            left[u] -= 1
+            if not left[u]:
+                todo.append(u)
 
-    # Reachable-terminal optima, best class first; the breadth-first layers
-    # of each class double as the routing structure for that class.
-    best_terminal: list[Fraction | None] = [None] * n
-    layer: list[int | None] = [None] * n
-    radj = graphalg.in_adjacency(n, edges)
+    # Reachable-terminal optima as class indices, best class first; the
+    # breadth-first layers of each class double as its routing structure.
     classes = sorted({game.cost_at(w, player) for w in g.terminals})
-    for c in classes:
-        frontier = [w for w in g.terminals if game.cost_at(w, player) == c]
+    rank = {c: k for k, c in enumerate(classes)}
+    by_class: list[list[int]] = [[] for _ in classes]
+    for w in g.terminals:
+        by_class[rank[game.cost_at(w, player)]].append(w)
+    best_class = [-1] * n
+    layer: list[int | None] = [None] * n
+    for k, frontier in enumerate(by_class):
         for w in frontier:
-            best_terminal[w] = c
+            best_class[w] = k
             layer[w] = 0
         depth = 0
         while frontier:
@@ -80,24 +90,25 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
             nxt = []
             for v in frontier:
                 for u in radj[v]:
-                    if best_terminal[u] is None and not g.is_terminal(u):
-                        best_terminal[u] = c
+                    if best_class[u] < 0:
+                        best_class[u] = k
                         layer[u] = depth
                         nxt.append(u)
-            frontier = sorted(nxt)
+            frontier = nxt
 
     cycle_value = game.cycle_cost(player)
-    value: list[Fraction] = [Fraction(0)] * n
+    cycle_wins = [cycle_value < c for c in classes]
+    value: list[Fraction] = []
     for v in range(n):
-        options = []
-        if best_terminal[v] is not None:
-            options.append(best_terminal[v])
-        if v in can_cycle:
-            options.append(cycle_value)
-        assert options, f"vertex {v} has neither a terminal route nor a cycle"
-        value[v] = min(options)
-        if value[v] != best_terminal[v]:
-            layer[v] = None  # optimal play is to cycle, not to take this route
+        k = best_class[v]
+        if left[v] and (k < 0 or cycle_wins[k]):
+            value.append(cycle_value)
+            layer[v] = None  # optimal play is to cycle, not to take a route
+        elif k < 0:
+            # raised, not asserted: under -O, classes[-1] would pass silently
+            raise AssertionError(f"vertex {v} has neither a terminal route nor a cycle")
+        else:
+            value.append(classes[k])
     return ResponseTables(player, tuple(value), tuple(layer))
 
 
@@ -144,8 +155,8 @@ def uniform_best_response(
     """A strategy minimizing the player's cost from every vertex at once.
 
     Only the opponent part of ``situation`` is read. The returned strategy is
-    re-verified vertex by vertex by tracing; a mismatch raises
-    VerificationFailed and would mean a bug in the construction.
+    re-verified at every vertex on the outcomes of its plays; a mismatch
+    raises VerificationFailed and would mean a bug in the construction.
     """
     tables = response_tables(game, situation, player)
     strategy = _assemble_strategy(game, situation, tables)
@@ -154,10 +165,25 @@ def uniform_best_response(
     return strategy, tables.value
 
 
-def _verify_values(game: TerminalGame, situation: Situation, tables: ResponseTables) -> None:
+def _costs(game: TerminalGame, ends: list[int | None], player: int) -> list[Fraction]:
+    """The player's effective cost of the play from every start."""
+    cycle = game.cycle_cost(player)
+    return [cycle if t is None else game.cost_at(t, player) for t in ends]
+
+
+def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[Fraction]:
+    """Each non-terminal's play cost for its controller, in `nonterminals` order."""
     g = game.graph
-    for v in range(g.n_vertices):
-        got = terminal_cost(game, trace(g, situation, v), tables.player)
+    return [
+        game.cycle_cost(g.owner[v]) if ends[v] is None
+        else game.cost_at(ends[v], g.owner[v])
+        for v in g.nonterminals
+    ]
+
+
+def _verify_values(game: TerminalGame, situation: Situation, tables: ResponseTables) -> None:
+    got_at = _costs(game, outcomes(game.graph, situation), tables.player)
+    for v, got in enumerate(got_at):
         if got != tables.value[v]:
             raise VerificationFailed(
                 f"player {tables.player} value at vertex {v}: "
@@ -173,15 +199,13 @@ def uniform_best_improvement(
     Returns None when the player's current strategy is already a uniform
     best response. Otherwise the returned situation attains the optimal
     value at every vertex while keeping the player's move wherever the value
-    does not strictly improve; both clauses are re-checked by tracing.
+    does not strictly improve; both clauses are re-checked on the outcomes
+    of the plays.
     """
     g = game.graph
     tables = response_tables(game, situation, player)
-    current = tuple(
-        terminal_cost(game, trace(g, situation, v), player)
-        for v in range(g.n_vertices)
-    )
-    if all(current[v] == tables.value[v] for v in range(g.n_vertices)):
+    current = _costs(game, outcomes(g, situation), player)
+    if all(c == best for c, best in zip(current, tables.value)):
         return None
     keep = frozenset(
         v for v in g.nonterminals
@@ -254,17 +278,6 @@ def _normalize_costs(game: TerminalGame) -> TerminalGame:
     )
 
 
-def _nu(game: TerminalGame, situation: Situation) -> Fraction:
-    g = game.graph
-    return sum(
-        (
-            terminal_cost(game, trace(g, situation, v), g.owner[v])
-            for v in g.nonterminals
-        ),
-        Fraction(0),
-    )
-
-
 @dataclass(frozen=True)
 class UneSolve:
     """Outcome of the uniform-equilibrium computation.
@@ -308,10 +321,12 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
 
     prep = une_preprocess(game)
     work = _normalize_costs(prep.game)
-    sigma = initial_basic_situation(work, prep.unreachable)
-    trajectory = [_nu(work, sigma)]
-    steps: list[tuple[int, tuple[int, ...]]] = []
     wg = work.graph
+    sigma = initial_basic_situation(work, prep.unreachable)
+    # The potential nu sums every non-terminal's value for its controller.
+    held = _owner_costs(work, outcomes(wg, sigma))
+    trajectory = [sum(held, Fraction(0))]
+    steps: list[tuple[int, tuple[int, ...]]] = []
     bound = wg.n_vertices * len(wg.terminals)
 
     player = 1
@@ -323,22 +338,22 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
             player = 3 - player
             continue
         idle = 0
-        nu = _nu(work, improved)
+        ends = outcomes(wg, improved)
+        values = _owner_costs(work, ends)
+        nu = sum(values, Fraction(0))
         if len(steps) >= 1:
             if not nu < trajectory[-1]:
                 raise PotentialNotDecreased(
                     f"potential went {trajectory[-1]} -> {nu} on improvement {len(steps) + 1}"
                 )
-            for v in wg.nonterminals:
-                before = terminal_cost(work, trace(wg, sigma, v), wg.owner[v])
-                after = terminal_cost(work, trace(wg, improved, v), wg.owner[v])
+            for v, before, after in zip(wg.nonterminals, held, values):
                 if after > before:
                     raise PotentialNotDecreased(
                         f"value at vertex {v} degraded {before} -> {after} "
                         f"on improvement {len(steps) + 1}"
                     )
         for v in wg.nonterminals:
-            if v not in prep.unreachable and not trace(wg, improved, v).is_terminal:
+            if v not in prep.unreachable and ends[v] is None:
                 raise VerificationFailed(
                     f"improvement made the play from vertex {v} infinite"
                 )
@@ -348,6 +363,7 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         steps.append((player, changed))
         trajectory.append(nu)
         sigma = improved
+        held = values
         if len(steps) > bound:
             raise PotentialNotDecreased(
                 f"more than |V|*|V_T| = {bound} improvements"
@@ -355,10 +371,10 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         player = 3 - player
 
     lifted = prep.lift(sigma)
+    lifted_ends = outcomes(game.graph, lifted)
     for p in game.graph.players:
         tables = response_tables(game, lifted, p)
-        for v in range(game.graph.n_vertices):
-            got = terminal_cost(game, trace(game.graph, lifted, v), p)
+        for v, got in enumerate(_costs(game, lifted_ends, p)):
             if got != tables.value[v]:
                 raise VerificationFailed(
                     f"lifted situation is not a uniform best response for "

@@ -1,21 +1,27 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 import genutil
-from pathgames import oracle
-from pathgames.errors import ZeroSumMixedCycle
+import pathgames
+from pathgames import graphalg, oracle
+from pathgames.errors import InternalCheckFailed, ZeroSumMixedCycle
 from pathgames.model import (
     ExtCost,
     MINUS_INF,
     PLUS_INF,
     Situation,
     sp_game,
+    terminal_game,
 )
-from pathgames.play import sp_cost, terminal_cost, trace
+from pathgames.play import outcomes, sp_cost, terminal_cost, trace
 
 
 def situation(game, **by_name):
@@ -131,3 +137,97 @@ def test_trace_bounds_and_terminal_sums():
                     # positive game: every infinite play costs +inf for everyone
                     for p in g.players:
                         assert sp_cost(game, play, p) == PLUS_INF
+
+
+def test_outcomes_small_cases():
+    # 0 -> 1 -> 2 (terminal), 3 <-> 4, 5 loops on itself, 6 -> 3 cannot
+    # reach a terminal at all.
+    game = terminal_game(
+        [1, 2, None, 1, 2, 1, 2],
+        [(0, 1), (1, 2), (3, 4), (4, 3), (5, 5), (5, 0), (6, 3)],
+        {2: (-1, -1)},
+        n_players=2,
+    )
+    g = game.graph
+    s = Situation.of(g, {0: 1, 1: 2, 3: 4, 4: 3, 5: 5, 6: 3})
+    assert outcomes(g, s) == [2, 2, 2, None, None, None, None]
+    s = s.replace({5: 0})
+    assert outcomes(g, s) == [2, 2, 2, None, None, 2, None]
+
+
+def test_outcomes_match_trace_on_random_situations():
+    rng = random.Random(11)
+    covered = {"terminal start": 0, "self-loop": 0, "2-cycle": 0, "longer cycle": 0,
+               "no terminal reachable": 0}
+    for k in range(240):
+        if k % 3 == 0:
+            game = genutil.random_symmetric_positive_sp(rng, max_v=9)
+        elif k % 3 == 1:
+            game = genutil.random_symmetric_terminal(rng, max_v=10)
+        else:
+            game = genutil.random_ring_ciw_terminal(rng, max_v=14)
+        g = game.graph
+        can_reach = graphalg.reachable_to(g.n_vertices, g.edge_set, g.terminals)
+        for _ in range(4):
+            s = Situation.of(g, {v: rng.choice(g.out[v]) for v in g.nonterminals})
+            ends = outcomes(g, s)
+            assert len(ends) == g.n_vertices
+            for v in range(g.n_vertices):
+                play = trace(g, s, v)
+                assert ends[v] == play.terminal
+                if g.is_terminal(v):
+                    covered["terminal start"] += 1
+                elif v not in can_reach:
+                    covered["no terminal reachable"] += 1
+                if play.cycle is not None:
+                    kind = {1: "self-loop", 2: "2-cycle"}.get(len(play.cycle), "longer cycle")
+                    covered[kind] += 1
+    assert min(covered.values()) >= 50, covered
+
+
+def test_missing_move_raises(g2):
+    broken = Situation((1, None, None, None))  # vertex 1 is non-terminal
+    with pytest.raises(InternalCheckFailed, match="no move at vertex 1"):
+        outcomes(g2.graph, broken)
+    with pytest.raises(InternalCheckFailed, match="no move at vertex 1"):
+        trace(g2.graph, broken, 0)
+
+
+def test_internal_checks_raise_under_dash_O():
+    # These checks must not be plain asserts, which -O strips.
+    code = textwrap.dedent(
+        """
+        import sys
+        from pathgames.errors import InternalCheckFailed
+        from pathgames.model import Situation, terminal_game
+        from pathgames.play import outcomes, trace
+        from pathgames.une import response_tables
+
+        game = terminal_game(
+            [1, 2, None], [(0, 1), (1, 0), (1, 2)], {2: (-1, -1)}, n_players=2
+        )
+        broken = Situation((1, None, None))
+        for run in (lambda: outcomes(game.graph, broken),
+                    lambda: trace(game.graph, broken, 0)):
+            try:
+                run()
+            except InternalCheckFailed as exc:
+                print(sys.flags.optimize, exc)
+        # vertex 0 has no move at all, so neither a route nor a cycle
+        stuck = terminal_game([1, 2, None], [(1, 0), (1, 2)], {2: (-1, -1)}, n_players=2)
+        try:
+            response_tables(stuck, Situation((None, 0, None)), 1)
+        except AssertionError as exc:
+            print(sys.flags.optimize, exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(pathgames.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["1 situation has no move at vertex 1"] * 2 + [
+        "1 vertex 0 has neither a terminal route nor a cycle"
+    ]

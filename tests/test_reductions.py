@@ -16,6 +16,7 @@ from pathgames.model import (
 )
 from pathgames.play import sp_cost, terminal_cost, trace
 from pathgames.reductions import (
+    _tree_toward,
     contract_small_game,
     gallai_transform,
     lift_situation,
@@ -236,6 +237,38 @@ def test_lift_preserves_costs_everywhere():
                     assert a == b
                     checked += 1
     assert checked > 500
+
+
+def test_lift_trees_are_shortest_with_lowest_id_parents():
+    rng = random.Random(47)
+    checked = 0
+    for _ in range(60):
+        game = genutil.random_symmetric_terminal(rng, max_v=12, max_players=2)
+        g = game.graph
+        _, cmap = contract_small_game(game)
+        for cid, members in enumerate(cmap.members):
+            inside = set(members)
+            for root in members:
+                # hop distance to the root along moves inside the component
+                dist = {root: 0}
+                frontier = {root}
+                while frontier:
+                    d = 1 + dist[min(frontier)]
+                    frontier = {
+                        u for u in inside
+                        if u not in dist and any(w in frontier for w in g.out[u])
+                    }
+                    dist.update((u, d) for u in frontier)
+                tree = _tree_toward(cmap, cid, root)
+                assert set(tree) == inside - {root}
+                for v, parent in tree.items():
+                    closer = [
+                        w for w in g.out[v]
+                        if w in inside and w != v and dist[w] == dist[v] - 1
+                    ]
+                    assert parent == closer[0]
+                    checked += 1
+    assert checked >= 1000
 
 
 def test_lift_contracted_ne_verifies():

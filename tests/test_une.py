@@ -1,18 +1,21 @@
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 import genutil
-from pathgames import oracle
+from pathgames import graphalg, oracle, play
 from pathgames.errors import ConditionViolated
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import une_preprocess
 from pathgames.une import (
     initial_basic_situation,
+    response_tables,
     solve_theorem3,
     uniform_best_improvement,
     uniform_best_response,
@@ -67,6 +70,46 @@ def test_response_cycles_when_cycling_is_better():
     assert values[0] == 0
 
 
+def random_situation(rng, g):
+    return Situation.of(g, {v: rng.choice(g.out[v]) for v in g.nonterminals})
+
+
+def strategy_count(g, player):
+    return math.prod(len(g.out[v]) for v in g.nonterminals if g.owner[v] == player)
+
+
+def reaches_terminal(g, situation, player, v):
+    """Whether some terminal is reachable from v when only player moves freely."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        if g.is_terminal(u):
+            return True
+        moves = g.out[u] if g.owner[u] == player else (situation[u],)
+        for w in moves:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return False
+
+
+def test_response_routes_on_a_tie_with_cycling():
+    game = terminal_game(
+        [1, 2, None],
+        [(0, 1), (1, 0), (0, 2), (1, 2)],
+        {2: (0, -1)},
+        n_players=2,
+        initial=0,
+    )
+    sigma = Situation.of(game.graph, {0: 1, 1: 0})
+    tables = response_tables(game, sigma, 1)
+    assert tables.value == (0, 0, 0)
+    assert tables.layer == (1, 2, 0)  # the route, not the equally good cycle
+    strategy, _ = uniform_best_response(game, sigma, 1)
+    assert strategy[0] == 2
+
+
 def test_response_matches_enumeration_on_random_games():
     rng = random.Random(81)
     for _ in range(30):
@@ -79,6 +122,33 @@ def test_response_matches_enumeration_on_random_games():
             brute = brute_force_values(work, sigma, player)
             for v in range(work.graph.n_vertices):
                 assert values[v] == brute[v]
+    # Raw boards keep their loops and parallel terminal moves, situations are
+    # arbitrary, and infinite-play costs in -2..2 against terminal costs in
+    # -5..5 let cycling beat a reachable terminal (the layer-None branch).
+    rng = random.Random(91)
+    cycling_beats_terminal = 0
+    loops = 0
+    for k in range(120):
+        if k % 3 == 2:
+            game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
+        else:
+            game = genutil.random_symmetric_terminal(rng, max_v=8)
+        g = game.graph
+        loops += sum(1 for u, v in g.edge_set if u == v)
+        sigma = random_situation(rng, g)
+        for player in g.players:
+            if strategy_count(g, player) > 3000:
+                continue
+            _, values = uniform_best_response(game, sigma, player)
+            tables = response_tables(game, sigma, player)
+            brute = brute_force_values(game, sigma, player)
+            for v in range(g.n_vertices):
+                assert values[v] == tables.value[v] == brute[v]
+                if tables.layer[v] is None and reaches_terminal(g, sigma, player, v):
+                    assert brute[v] == game.cycle_cost(player)
+                    cycling_beats_terminal += 1
+    assert cycling_beats_terminal >= 100
+    assert loops >= 20
 
 
 def test_improvement_none_when_already_best(chain):
@@ -244,3 +314,42 @@ def test_solve_with_unreachable_region():
     assert oracle.verify_une(game, result.situation).ok
     # the isolated 2-cycle keeps its frozen lowest-id moves
     assert result.situation[0] == 1 and result.situation[1] == 0
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every pathgames binding of it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "pathgames":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_solve_theorem3_evaluates_all_starts_in_one_pass(monkeypatch):
+    traces = count_calls(monkeypatch, play, "trace")
+    sccs = count_calls(monkeypatch, graphalg, "strongly_connected_components")
+    rng = random.Random(93)
+    improved = 0
+    for k in range(12):
+        if k % 2:
+            game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
+        else:
+            game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+        traces.clear()
+        sccs.clear()
+        result = solve_theorem3(game)
+        # no play is traced one start at a time; the one SCC pass is the
+        # contraction's
+        assert traces == []
+        assert len(sccs) == 1
+        improved += result.rounds > 0
+    assert improved >= 3
