@@ -1,8 +1,11 @@
 """Deterministic exact-arithmetic graph primitives.
 
 All functions work on vertices 0..n-1 with explicit edge lists and weight
-callables returning exact numbers (int or Fraction). Every tie is broken by
-vertex id so repeated runs produce identical results.
+callables returning exact numbers (int or Fraction). The shortest-path and
+cycle kernels multiply every weight by one LCM of the denominators and run
+on the resulting integers; results come back as ``Fraction``s, so they are
+exactly what the same algorithm over rationals would return. Every tie is
+broken by vertex id so repeated runs produce identical results.
 """
 
 from __future__ import annotations
@@ -89,32 +92,6 @@ def strongly_connected_components(
     return comps
 
 
-def scc_naive(n: int, out: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Reachability-based SCCs, used as an independent cross-check."""
-    reach = []
-    for s in range(n):
-        seen = {s}
-        todo = [s]
-        while todo:
-            v = todo.pop()
-            for w in out[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        reach.append(seen)
-    assigned = [False] * n
-    comps = []
-    for v in range(n):
-        if assigned[v]:
-            continue
-        comp = sorted(u for u in range(n) if u in reach[v] and v in reach[u])
-        for u in comp:
-            assigned[u] = True
-        comps.append(comp)
-    comps.sort(key=lambda c: c[0])
-    return comps
-
-
 def reachable_to(
     n: int, edges: Iterable[tuple[int, int]], targets: Iterable[int]
 ) -> set[int]:
@@ -131,6 +108,54 @@ def reachable_to(
     return seen
 
 
+def _lex_dist(
+    n: int,
+    edges: Iterable[tuple[int, int]],
+    weight: Weight,
+    seeds: Iterable[int],
+    forward: bool,
+) -> list[tuple[Fraction, int] | None]:
+    """Lexicographic (cost, hops) Dijkstra from ``seeds`` on integer weights.
+
+    With ``forward`` the search follows the edges (distances from the
+    seeds), otherwise it runs against them (distances to the seeds). The
+    direction is applied here rather than by reversing the edge list, so a
+    negative weight is reported on the caller's edge, the first in sorted
+    order.
+    """
+    edge_list = sorted(set(edges))
+    ws, scale = _scaled(edge_list, weight)
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), w in zip(edge_list, ws):
+        if w < 0:
+            raise ValueError(f"negative weight on edge ({u}, {v})")
+        if forward:
+            adj[u].append((v, w))
+        else:
+            adj[v].append((u, w))
+    dist: list[tuple[int, int] | None] = [None] * n
+    heap: list[tuple[int, int, int]] = []
+    for s in sorted(set(seeds)):
+        dist[s] = (0, 0)
+        heap.append((0, 0, s))
+    heapq.heapify(heap)
+    done = [False] * n
+    while heap:
+        c, h, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for u, w in adj[v]:
+            if done[u]:
+                continue
+            cand = (c + w, h + 1)
+            du = dist[u]
+            if du is None or cand < du:
+                dist[u] = cand
+                heapq.heappush(heap, (c + w, h + 1, u))
+    return [None if d is None else (Fraction(d[0], scale), d[1]) for d in dist]
+
+
 def lex_dist_to(
     n: int,
     edges: Iterable[tuple[int, int]],
@@ -143,33 +168,7 @@ def lex_dist_to(
     Together with :func:`canonical_path` this yields one well-defined optimal
     path per query: cheapest, then fewest edges, then lowest vertex ids.
     """
-    edge_list = sorted(set(edges))
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_list:
-        w = weight(u, v)
-        if w < 0:
-            raise ValueError(f"negative weight on edge ({u}, {v})")
-        radj[v].append(u)
-    dist: list[tuple[Fraction, int] | None] = [None] * n
-    heap: list[tuple[Fraction, int, int]] = []
-    for t in sorted(set(targets)):
-        dist[t] = (Fraction(0), 0)
-        heap.append((Fraction(0), 0, t))
-    heapq.heapify(heap)
-    done = [False] * n
-    while heap:
-        c, h, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for u in radj[v]:
-            if done[u]:
-                continue
-            cand = (c + weight(u, v), h + 1)
-            if dist[u] is None or cand < dist[u]:
-                dist[u] = cand
-                heapq.heappush(heap, (cand[0], cand[1], u))
-    return dist
+    return _lex_dist(n, edges, weight, targets, forward=False)
 
 
 def lex_dist_from(
@@ -179,32 +178,7 @@ def lex_dist_from(
     sources: Iterable[int],
 ) -> list[tuple[Fraction, int] | None]:
     """Forward counterpart of :func:`lex_dist_to`."""
-    edge_list = sorted(set(edges))
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edge_list:
-        if weight(u, v) < 0:
-            raise ValueError(f"negative weight on edge ({u}, {v})")
-        adj[u].append(v)
-    dist: list[tuple[Fraction, int] | None] = [None] * n
-    heap: list[tuple[Fraction, int, int]] = []
-    for s in sorted(set(sources)):
-        dist[s] = (Fraction(0), 0)
-        heap.append((Fraction(0), 0, s))
-    heapq.heapify(heap)
-    done = [False] * n
-    while heap:
-        c, h, v = heapq.heappop(heap)
-        if done[v]:
-            continue
-        done[v] = True
-        for u in adj[v]:
-            if done[u]:
-                continue
-            cand = (c + weight(v, u), h + 1)
-            if dist[u] is None or cand < dist[u]:
-                dist[u] = cand
-                heapq.heappush(heap, (cand[0], cand[1], u))
-    return dist
+    return _lex_dist(n, edges, weight, sources, forward=True)
 
 
 def canonical_path(
@@ -235,10 +209,10 @@ def canonical_path(
 def _scaled(edge_list: Sequence[tuple[int, int]], weight: Weight) -> tuple[list[int], int]:
     """Exact integer images ``w * scale`` of the weights of ``edge_list``.
 
-    ``scale`` is the LCM of the weights' denominators. Scaling by a positive
-    constant keeps every sum and comparison, so the integer kernels below
-    take the same steps as they would over rationals, and an integer result
-    ``r`` stands for ``Fraction(r, scale)``.
+    ``scale`` is the LCM of the weights' denominators (1 for no edges).
+    Scaling by a positive constant keeps every sum and comparison, so the
+    integer kernels take the same steps as they would over rationals, and
+    an integer result ``r`` stands for ``Fraction(r, scale)``.
     """
     ws = [weight(u, v) for u, v in edge_list]
     scale = math.lcm(*(w.denominator for w in ws))

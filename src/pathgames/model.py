@@ -112,6 +112,12 @@ class GameGraph:
         adj = graphalg.out_adjacency(self.n_vertices, self.edge_set)
         return tuple(tuple(row) for row in adj)
 
+    @cached_property
+    def _edge_symmetric(self) -> bool:
+        return all(
+            self.is_terminal(v) or (v, u) in self.edge_set for u, v in self.edge_set
+        )
+
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_set)
 
@@ -243,11 +249,11 @@ def validate(game: Game) -> list[str]:
 
 
 def is_edge_symmetric(g: GameGraph) -> bool:
-    """True iff every move has its reverse, except moves entering terminals."""
-    for u, v in g.edge_set:
-        if not g.is_terminal(v) and (v, u) not in g.edge_set:
-            return False
-    return True
+    """True iff every move has its reverse, except moves entering terminals.
+
+    Computed once per graph.
+    """
+    return g._edge_symmetric
 
 
 @dataclass(frozen=True)
@@ -270,7 +276,8 @@ class PositivityReport:
 
 def _edge_positive(game: SPGame) -> bool:
     """True iff every move costs every player a positive amount."""
-    return all(c > 0 for e in game.graph.edge_set for c in game.edge_cost[e])
+    # A Fraction's denominator is positive, so its numerator carries the sign.
+    return all(c.numerator > 0 for e in game.graph.edge_set for c in game.edge_cost[e])
 
 
 def is_positive(game: SPGame) -> PositivityReport:

@@ -54,22 +54,13 @@ class ComponentDecomposition:
 def decompose(game: SPGame) -> ComponentDecomposition:
     """Decompose a single-terminal game board into components.
 
-    Also re-derives the components with an independent reachability-based
-    pass in debug builds, and checks that edges between distinct components
-    always change owner, which is what edge-symmetry guarantees.
+    Also checks that edges between distinct components always change owner,
+    which is what edge-symmetry guarantees.
     """
     g = game.graph
     if len(g.terminals) != 1:
         raise ValueError("decompose expects a single-terminal game (merge first)")
     comps = player_components(g)
-    if __debug__:
-        intra = [
-            (u, v)
-            for u, v in g.edge_set
-            if not g.is_terminal(v) and g.owner[u] == g.owner[v]
-        ]
-        adj = graphalg.out_adjacency(g.n_vertices, intra)
-        assert comps == graphalg.scc_naive(g.n_vertices, adj), "SCC passes disagree"
     comp_of = [0] * g.n_vertices
     for cid, comp in enumerate(comps):
         for v in comp:
@@ -166,7 +157,7 @@ def lambda_shortest(game: SPGame, dec: ComponentDecomposition, v0: int) -> Speci
     """
     g = game.graph
     vt = g.terminals[0]
-    lam = lambda u, v: Fraction(int(dec.comp_of[u] != dec.comp_of[v]))
+    lam = lambda u, v: int(dec.comp_of[u] != dec.comp_of[v])
     dist = graphalg.lex_dist_to(g.n_vertices, g.edge_set, lam, [vt])
     if dist[v0] is None:
         raise Unreachable(f"terminal not reachable from vertex {v0}")
@@ -176,26 +167,32 @@ def lambda_shortest(game: SPGame, dec: ComponentDecomposition, v0: int) -> Speci
     return sp
 
 
+def _entry_distances(
+    game: SPGame, dec: ComponentDecomposition, comp: int, source: int
+) -> dict[int, Fraction]:
+    """Shortest cost from ``source`` to every member of its component.
+
+    Only moves inside the component count, priced in its owner's costs.
+    """
+    members = dec.members[comp]
+    if len(members) == 1:  # also the terminal's component, which has no owner
+        return {source: Fraction(0)}
+    g = game.graph
+    owner = dec.comp_owner[comp]
+    inside = set(members)
+    edges = [(a, b) for a in members for b in g.out[a] if b in inside]
+    dist = graphalg.lex_dist_from(
+        g.n_vertices, edges, lambda a, b: game.cost(a, b, owner), [source]
+    )
+    assert all(dist[m] is not None for m in members), "component is not strongly connected"
+    return {m: dist[m][0] for m in members}
+
+
 def intra_component_distance(
     game: SPGame, dec: ComponentDecomposition, comp: int, u: int, v: int
 ) -> Fraction:
     """Shortest u -> v cost inside one component, in its owner's costs."""
-    owner = dec.comp_owner[comp]
-    if owner is None:
-        assert u == v
-        return Fraction(0)
-    members = set(dec.members[comp])
-    edges = [
-        (a, b)
-        for a in dec.members[comp]
-        for b in game.graph.out[a]
-        if b in members
-    ]
-    dist = graphalg.lex_dist_from(
-        game.graph.n_vertices, edges, lambda a, b: game.cost(a, b, owner), [u]
-    )
-    assert dist[v] is not None, "component is not strongly connected"
-    return dist[v][0]
+    return _entry_distances(game, dec, comp, u)[v]
 
 
 def _g_ip_edges(g: GameGraph, path: tuple[int, ...], player: int) -> list[tuple[int, int]]:
@@ -339,7 +336,7 @@ def extend_to_situation(
     path = sp.vertices
     choice: dict[int, int] = {v: w for v, w in zip(path, path[1:])}
     block_of_comp = {c: j for j, c in enumerate(sp.block_comp)}
-    entry = {j: block[0] for j, block in enumerate(sp.blocks)}
+    entry_dist: dict[int, dict[int, Fraction]] = {}
     for v in g.nonterminals:
         if v in choice:
             continue
@@ -350,13 +347,10 @@ def extend_to_situation(
         ]
         if hits:
             k = min(j for j, _ in hits)
-            comp = sp.block_comp[k]
-            candidates = sorted(w for j, w in hits if j == k)
-            u = min(
-                candidates,
-                key=lambda w: (intra_component_distance(game, dec, comp, entry[k], w), w),
-            )
-            choice[v] = u
+            if k not in entry_dist:
+                entry_dist[k] = _entry_distances(game, dec, sp.block_comp[k], sp.blocks[k][0])
+            dist = entry_dist[k]
+            choice[v] = min((w for j, w in hits if j == k), key=lambda w: (dist[w], w))
         else:
             choice[v] = g.out[v][0]
     return Situation.of(g, choice)

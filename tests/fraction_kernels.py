@@ -1,16 +1,63 @@
-"""Reference cycle kernels over ``Fraction``s.
+"""Reference graph kernels over ``Fraction``s.
 
 These are straightforward exact implementations of the minimum cycle mean
-(Karp 1978), its witness cycle and Bellman-Ford potentials. The library
-runs the same algorithms on integer-scaled weights; tests require both to
+(Karp 1978), its witness cycle, Bellman-Ford potentials and the
+lexicographic (cost, hops) Dijkstra in both directions. The library runs
+the same algorithms on integer-scaled weights; tests require both to
 return identical values.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 
 from pathgames import graphalg
+
+
+def _lex_dijkstra(n, adj, step_weight, seeds):
+    dist = [None] * n
+    heap = []
+    for s in sorted(set(seeds)):
+        dist[s] = (Fraction(0), 0)
+        heap.append((Fraction(0), 0, s))
+    heapq.heapify(heap)
+    done = [False] * n
+    while heap:
+        c, h, v = heapq.heappop(heap)
+        if done[v]:
+            continue
+        done[v] = True
+        for u in adj[v]:
+            if done[u]:
+                continue
+            cand = (c + step_weight(v, u), h + 1)
+            if dist[u] is None or cand < dist[u]:
+                dist[u] = cand
+                heapq.heappush(heap, (cand[0], cand[1], u))
+    return dist
+
+
+def _checked_edges(edges, weight):
+    edge_list = sorted(set(edges))
+    for u, v in edge_list:
+        if weight(u, v) < 0:
+            raise ValueError(f"negative weight on edge ({u}, {v})")
+    return edge_list
+
+
+def lex_dist_to(n, edges, weight, targets):
+    radj = [[] for _ in range(n)]
+    for u, v in _checked_edges(edges, weight):
+        radj[v].append(u)
+    return _lex_dijkstra(n, radj, lambda v, u: weight(u, v), targets)
+
+
+def lex_dist_from(n, edges, weight, sources):
+    adj = [[] for _ in range(n)]
+    for u, v in _checked_edges(edges, weight):
+        adj[u].append(v)
+    return _lex_dijkstra(n, adj, weight, sources)
 
 
 def bellman_ford_potentials(n, edges, weight):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from pathgames.model import SPGame, TerminalGame, sp_game, terminal_game
@@ -32,6 +33,54 @@ def simple_cycles(n, edges):
     for start in range(n):
         dfs(start, start, [start], {start})
     return found
+
+
+def scc_naive(n, out):
+    """Strongly connected components by plain pairwise reachability.
+
+    Same output convention as ``graphalg.strongly_connected_components``:
+    sorted members, components ordered by smallest member.
+    """
+    reach = []
+    for s in range(n):
+        seen = {s}
+        todo = [s]
+        while todo:
+            v = todo.pop()
+            for w in out[v]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        reach.append(seen)
+    assigned = [False] * n
+    comps = []
+    for v in range(n):
+        if assigned[v]:
+            continue
+        comp = sorted(u for u in range(n) if u in reach[v] and v in reach[u])
+        for u in comp:
+            assigned[u] = True
+        comps.append(comp)
+    comps.sort(key=lambda c: c[0])
+    return comps
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every pathgames binding of it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "pathgames":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is real:
+                monkeypatch.setattr(mod, attr, counting)
+    return calls
 
 
 def dijkstra_cost(n, edges, weight, source, targets):

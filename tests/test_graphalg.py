@@ -37,12 +37,26 @@ def weighted_digraphs(rng, count):
         yield n, dag, {e: Fraction(rng.randint(-5, 9), rng.randint(1, 7)) for e in dag}
 
 
+def nonnegative_digraphs(rng, count):
+    """Random digraphs under the weights the Dijkstras must handle exactly:
+    mixed denominators 1-7, plain ints, many zero weights, and no edges."""
+    for _ in range(count):
+        n, edges = random_digraph(rng)
+        yield n, edges, {e: Fraction(rng.randint(0, 9), rng.randint(1, 7)) for e in edges}
+        yield n, edges, {e: rng.randint(0, 6) for e in edges}
+        yield n, edges, {
+            e: rng.choice((0, 0, Fraction(1, 3), Fraction(5, 7), 2, Fraction(3, 2)))
+            for e in edges
+        }
+        yield n, [], {}
+
+
 def test_scc_matches_naive():
     rng = random.Random(1)
     for _ in range(60):
         n, edges = random_digraph(rng)
         adj = graphalg.out_adjacency(n, edges)
-        assert graphalg.strongly_connected_components(n, adj) == graphalg.scc_naive(n, adj)
+        assert graphalg.strongly_connected_components(n, adj) == genutil.scc_naive(n, adj)
 
 
 def test_min_cycle_mean_against_brute_force():
@@ -80,6 +94,50 @@ def test_lex_dist_matches_plain_dijkstra():
                 assert dist[v] is None
             else:
                 assert dist[v] is not None and dist[v][0] == plain
+
+
+def test_lex_dist_matches_fraction_reference():
+    rng = random.Random(6)
+    reached = 0
+    for n, edges, weights in nonnegative_digraphs(rng, 60):
+        weight = lambda u, v: weights[(u, v)]
+        back = lambda u, v: weights[(v, u)]
+        adj = graphalg.out_adjacency(n, edges)
+        radj = graphalg.in_adjacency(n, edges)
+        for k in (0, 1, 1, 2, 3):
+            seeds = rng.sample(range(n), min(k, n))
+            to = graphalg.lex_dist_to(n, edges, weight, seeds)
+            frm = graphalg.lex_dist_from(n, edges, weight, seeds)
+            ref_to = fraction_kernels.lex_dist_to(n, edges, weight, seeds)
+            ref_from = fraction_kernels.lex_dist_from(n, edges, weight, seeds)
+            assert to == ref_to and frm == ref_from
+            for v in range(n):
+                for table, ref, a, w in ((to, ref_to, adj, weight), (frm, ref_from, radj, back)):
+                    if table[v] is None:
+                        continue
+                    reached += 1
+                    assert type(table[v][0]) is Fraction
+                    # a from-table is a to-table of the reversed graph
+                    path = graphalg.canonical_path(v, a, w, table)
+                    assert path == graphalg.canonical_path(v, a, w, ref)
+                    assert path[-1] in seeds
+    assert reached >= 2000
+
+
+def test_lex_dist_rejects_negative_weight():
+    # the first negative edge in sorted order is named, in both directions,
+    # also when the seeds cannot reach it
+    weights = {(0, 1): 1, (1, 2): Fraction(-1, 3), (2, 0): -2, (3, 3): 0}
+    weight = lambda u, v: weights[(u, v)]
+    for kernel in (
+        graphalg.lex_dist_to, graphalg.lex_dist_from,
+        fraction_kernels.lex_dist_to, fraction_kernels.lex_dist_from,
+    ):
+        for seeds in ([0], [3], []):
+            with pytest.raises(ValueError, match=r"^negative weight on edge \(1, 2\)$"):
+                kernel(4, weights, weight, seeds)
+        with pytest.raises(ValueError, match=r"^negative weight on edge \(2, 0\)$"):
+            kernel(4, [(0, 1), (2, 0)], weight, [1])
 
 
 def test_canonical_path_is_optimal_and_deterministic():

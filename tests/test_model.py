@@ -73,6 +73,47 @@ def test_edge_symmetric_terminal_exemption():
     assert is_edge_symmetric(game.graph)
 
 
+def test_edge_symmetry_is_computed_once_per_graph():
+    scans = []
+
+    class CountingGraph(GameGraph):
+        def is_terminal(self, v):
+            scans.append(v)
+            return super().is_terminal(v)
+
+    rng = random.Random(12)
+    for _ in range(20):
+        g = genutil.random_symmetric_terminal(rng, max_v=8).graph
+        inner = sorted((u, v) for u, v in g.edge_set if not g.is_terminal(v))
+        drop = rng.choice(inner) if inner else None
+        for edges in (g.edges, tuple(e for e in g.edges if e != drop)):
+            graph = CountingGraph(g.owner, edges, g.n_players, g.initial, g.names)
+            expected = all(
+                (v, u) in edges for u, v in edges if graph.owner[v] is not None
+            )
+            scans.clear()
+            assert is_edge_symmetric(graph) is expected
+            assert scans
+            scans.clear()
+            assert is_edge_symmetric(graph) is expected
+            assert scans == []
+
+
+def test_edge_positivity_on_ints_and_fractions():
+    for costs, positive in (
+        ((1, Fraction(1, 7)), True),
+        ((Fraction(3, 2), 2), True),
+        ((1, 0), False),
+        ((Fraction(0), 1), False),
+        ((Fraction(-1, 3), 5), False),
+        ((-2, 5), False),
+    ):
+        game = sp_game([1, 2, None], {(0, 1): costs, (1, 0): (1, 1), (1, 2): (1, 1)}, 2)
+        report = is_positive(game)
+        assert report.edge_positive is positive
+        assert bool(report) is positive
+
+
 def test_is_positive_g6s(g6s):
     report = is_positive(g6s)
     assert report.edge_positive and report.cycle_positive

@@ -11,6 +11,7 @@ from pathgames.errors import CIWViolated, ConditionViolated, NonPositiveCycle
 from pathgames.model import (
     Situation,
     is_positive,
+    merge_terminals,
     sp_game,
     terminal_game,
 )
@@ -20,9 +21,26 @@ from pathgames.reductions import (
     contract_small_game,
     gallai_transform,
     lift_situation,
+    player_components,
     terminal_to_sp,
     une_preprocess,
 )
+
+
+def test_player_components_match_naive_pass():
+    rng = random.Random(31)
+    multi = 0
+    for _ in range(40):
+        game = genutil.random_symmetric_positive_sp(rng, max_v=12)
+        for g in (game.graph, merge_terminals(game)[0].graph):
+            intra = [
+                [w for w in g.out[v] if not g.is_terminal(w) and g.owner[w] == g.owner[v]]
+                for v in range(g.n_vertices)
+            ]
+            comps = player_components(g)
+            assert comps == genutil.scc_naive(g.n_vertices, intra)
+            multi += sum(len(c) > 1 for c in comps)
+    assert multi >= 20
 
 
 def test_gallai_positive_input_unchanged(g6s):

@@ -9,6 +9,7 @@ import genutil
 from pathgames import graphalg, oracle
 from pathgames.errors import NotPositive, NotSymmetric, Unreachable
 from pathgames.model import (
+    Situation,
     is_positive,
     lowest_id_situation,
     merge_terminals,
@@ -249,6 +250,81 @@ def test_extend_minimizes_entry_distance():
     situation = extend_to_situation(game, dec, sp)
     assert situation[3] == 1
     assert situation[2] == 1
+
+
+def reference_extension(game, dec, sp):
+    """The extension rule with one distance query per candidate."""
+    g = game.graph
+    choice = dict(zip(sp.vertices, sp.vertices[1:]))
+    block_of_comp = {c: j for j, c in enumerate(sp.block_comp)}
+    for v in g.nonterminals:
+        if v in choice:
+            continue
+        hits = [
+            (block_of_comp[dec.comp_of[w]], w)
+            for w in g.out[v]
+            if dec.comp_of[w] in block_of_comp
+        ]
+        if not hits:
+            choice[v] = g.out[v][0]
+            continue
+        k = min(j for j, _ in hits)
+        comp, entry = sp.block_comp[k], sp.blocks[k][0]
+        owner = dec.comp_owner[comp]
+        inside = [(a, b) for a, b in g.edge_set if dec.comp_of[a] == dec.comp_of[b] == comp]
+        dist = {}
+        for w in (w for j, w in hits if j == k):
+            dist[w] = intra_component_distance(game, dec, comp, entry, w)
+            # the library query agrees with a plain Dijkstra inside the block
+            assert dist[w] == genutil.dijkstra_cost(
+                g.n_vertices, inside, lambda a, b: game.cost(a, b, owner), entry, [w]
+            )
+        choice[v] = min(dist, key=lambda w: (dist[w], w))
+    return Situation.of(g, choice)
+
+
+def test_extend_matches_per_candidate_reference():
+    rng = random.Random(71)
+    chosen_by_distance = 0
+    for _ in range(60):
+        game = genutil.random_symmetric_positive_sp(rng, max_v=12)
+        merged, _ = merge_terminals(game)
+        dec = decompose(merged)
+        try:
+            sp = make_special(merged, dec, lambda_shortest(merged, dec, merged.graph.initial))
+        except Unreachable:
+            continue
+        situation = extend_to_situation(merged, dec, sp)
+        assert situation == reference_extension(merged, dec, sp)
+        # picks where the entry distance, not the lowest id, decided
+        g = merged.graph
+        for v in g.nonterminals:
+            if v not in sp.vertices:
+                block = dec.comp_of[situation[v]]
+                chosen_by_distance += situation[v] > min(
+                    w for w in g.out[v] if dec.comp_of[w] == block
+                )
+    assert chosen_by_distance >= 20
+
+
+def test_extension_runs_one_search_per_visited_block(monkeypatch):
+    searches = genutil.count_calls(monkeypatch, graphalg, "lex_dist_from")
+    rng = random.Random(73)
+    visited = 0
+    for _ in range(30):
+        game = genutil.random_symmetric_positive_sp(rng, max_v=12)
+        merged, mmap = merge_terminals(game)
+        dec = decompose(merged)
+        v0 = mmap.old_to_new[game.graph.initial]
+        try:
+            sp = make_special(merged, dec, lambda_shortest(merged, dec, v0))
+        except Unreachable:
+            continue
+        searches.clear()
+        solve_theorem1(game)
+        assert len(searches) <= sp.q
+        visited += sp.q
+    assert visited >= 40
 
 
 def test_solve_theorem1_single_edge():

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -316,27 +315,9 @@ def test_solve_with_unreachable_region():
     assert result.situation[0] == 1 and result.situation[1] == 0
 
 
-def count_calls(monkeypatch, module, name):
-    """Count calls to module.name through every pathgames binding of it."""
-    real = getattr(module, name)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] != "pathgames":
-            continue
-        for attr, value in list(vars(mod).items()):
-            if value is real:
-                monkeypatch.setattr(mod, attr, counting)
-    return calls
-
-
 def test_solve_theorem3_evaluates_all_starts_in_one_pass(monkeypatch):
-    traces = count_calls(monkeypatch, play, "trace")
-    sccs = count_calls(monkeypatch, graphalg, "strongly_connected_components")
+    traces = genutil.count_calls(monkeypatch, play, "trace")
+    sccs = genutil.count_calls(monkeypatch, graphalg, "strongly_connected_components")
     rng = random.Random(93)
     improved = 0
     for k in range(12):
