@@ -8,7 +8,7 @@ Every type here is immutable value data and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -118,6 +118,25 @@ class GameGraph:
             self.is_terminal(v) or (v, u) in self.edge_set for u, v in self.edge_set
         )
 
+    @cached_property
+    def _player_components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """SCCs of each player-induced subgraph and every vertex's SCC index.
+
+        Terminals are singletons. Computed once per graph.
+        """
+        intra = [
+            (u, v)
+            for u, v in self.edge_set
+            if not self.is_terminal(v) and self.owner[u] == self.owner[v]
+        ]
+        adj = graphalg.out_adjacency(self.n_vertices, intra)
+        comps = graphalg.strongly_connected_components(self.n_vertices, adj)
+        comp_of = [0] * self.n_vertices
+        for cid, comp in enumerate(comps):
+            for v in comp:
+                comp_of[v] = cid
+        return tuple(tuple(c) for c in comps), tuple(comp_of)
+
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_set)
 
@@ -159,6 +178,22 @@ class TerminalGame:
 
     def cycle_cost(self, player: int) -> Fraction:
         return self.infinite_cost[player - 1]
+
+    def best_terminal(self, v: int) -> int | None:
+        """Cheapest terminal move of v's controller, lowest id on ties.
+
+        None when v has no terminal move.
+        """
+        g = self.graph
+        moves = [w for w in g.out[v] if g.is_terminal(w)]
+        if not moves:
+            return None
+        me = g.owner[v]
+        return min(moves, key=lambda w: (self.cost_at(w, me), w))
+
+    def restricted(self, edges: Iterable[tuple[int, int]]) -> "TerminalGame":
+        """The same game with only the given moves left."""
+        return replace(self, graph=replace(self.graph, edges=tuple(sorted(edges))))
 
 
 Game = SPGame | TerminalGame
@@ -311,21 +346,13 @@ class TerminalMerge:
     chosen_terminal: Mapping[int, int]
 
     def lift(self, situation: Situation) -> Situation:
-        choice = {}
+        moves: list[int | None] = [None] * len(self.old_to_new)
         for v_new, t_new in situation.items():
-            v_old = self.new_to_old[v_new]
             if t_new == self.merged_terminal:
-                choice[v_old] = self.chosen_terminal[v_new]
+                moves[self.new_to_old[v_new]] = self.chosen_terminal[v_new]
             else:
-                choice[v_old] = self.new_to_old[t_new]
-        return choice_to_situation_by_moves(choice, len(self.old_to_new))
-
-
-def choice_to_situation_by_moves(choice: Mapping[int, int], n: int) -> Situation:
-    moves: list[int | None] = [None] * n
-    for v, t in choice.items():
-        moves[v] = t
-    return Situation(tuple(moves))
+                moves[self.new_to_old[v_new]] = self.new_to_old[t_new]
+        return Situation(tuple(moves))
 
 
 def merge_terminals(game: SPGame) -> tuple[SPGame, TerminalMerge]:

@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from . import graphalg
-from .errors import CIWViolated, ConditionViolated, NonPositiveCycle
+from .errors import CIWViolated, ConditionViolated, InternalCheckFailed, NonPositiveCycle
 from .model import (
     GameGraph,
     SPGame,
@@ -136,13 +136,21 @@ def terminal_to_sp(game: TerminalGame) -> SpReduction:
 
 def player_components(graph: GameGraph) -> list[list[int]]:
     """SCCs of each player-induced subgraph; terminals are singletons."""
-    intra = [
-        (u, v)
-        for u, v in graph.edge_set
-        if not graph.is_terminal(v) and graph.owner[u] == graph.owner[v]
+    return [list(comp) for comp in graph._player_components[0]]
+
+
+def one_player_out(
+    graph: GameGraph, player: int, fixed: Sequence[int | None]
+) -> list[list[int]]:
+    """Moves of one player's relaxation, per vertex.
+
+    The player keeps every move; any other vertex keeps only ``fixed[v]``,
+    or no move when that is None.
+    """
+    return [
+        list(out) if owner == player else ([] if move is None else [move])
+        for owner, out, move in zip(graph.owner, graph.out, fixed)
     ]
-    adj = graphalg.out_adjacency(graph.n_vertices, intra)
-    return graphalg.strongly_connected_components(graph.n_vertices, adj)
 
 
 @dataclass(frozen=True)
@@ -170,12 +178,7 @@ def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMa
     smallest original edge is kept as representative.
     """
     g = game.graph
-    comps = player_components(g)
-    comp_of = [0] * g.n_vertices
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
-
+    comps, comp_of = g._player_components
     rep: dict[tuple[int, int], tuple[int, int]] = {}
     for u, v in g.sorted_edges():
         cu, cv = comp_of[u], comp_of[v]
@@ -215,8 +218,8 @@ def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMa
     small = TerminalGame(small_graph, terminal_cost, game.infinite_cost)
     cmap = ContractionMap(
         graph=g,
-        component=tuple(comp_of),
-        members=tuple(tuple(c) for c in comps),
+        component=comp_of,
+        members=comps,
         rep_edge=rep,
     )
     return small, cmap
@@ -265,7 +268,8 @@ def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
         if g.is_terminal(members[0]):
             continue
         target = situation[cid]
-        assert target is not None
+        if target is None:
+            raise InternalCheckFailed(f"situation has no move at component {cid}")
         u, v = cmap.rep_edge[(cid, target)]
         if target == cid and len(members) == 1:
             choice[u] = u  # original self-loop
@@ -309,26 +313,11 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
     small, cmap = contract_small_game(game)
     g = small.graph
     dropped: list[tuple[int, int]] = []
-    keep: set[tuple[int, int]] = set()
     for v in g.nonterminals:
-        terminal_moves = [w for w in g.out[v] if g.is_terminal(w)]
-        if len(terminal_moves) > 1:
-            best = min(terminal_moves, key=lambda w: (small.cost_at(w, g.owner[v]), w))
-            dropped.extend((v, w) for w in terminal_moves if w != best)
-            keep.update((v, w) for w in terminal_moves if w == best)
-        else:
-            keep.update((v, w) for w in terminal_moves)
-        keep.update((v, w) for w in g.out[v] if not g.is_terminal(w))
-    pruned_graph = GameGraph(
-        owner=g.owner,
-        edges=tuple(sorted(keep)),
-        n_players=g.n_players,
-        initial=g.initial,
-        names=g.names,
-    )
-    pruned = TerminalGame(pruned_graph, small.terminal_cost, small.infinite_cost)
-    can_reach = graphalg.reachable_to(
-        pruned_graph.n_vertices, pruned_graph.edge_set, pruned_graph.terminals
-    )
-    unreachable = frozenset(v for v in pruned_graph.nonterminals if v not in can_reach)
-    return UnePrep(pruned, cmap, tuple(sorted(dropped)), unreachable)
+        best = small.best_terminal(v)
+        dropped.extend((v, w) for w in g.out[v] if g.is_terminal(w) and w != best)
+    pruned = small.restricted(g.edge_set.difference(dropped))
+    pg = pruned.graph
+    can_reach = graphalg.reachable_to(pg.n_vertices, pg.edge_set, pg.terminals)
+    unreachable = frozenset(v for v in pg.nonterminals if v not in can_reach)
+    return UnePrep(pruned, cmap, tuple(dropped), unreachable)

@@ -33,7 +33,7 @@ from .model import (
     lowest_id_situation,
     merge_terminals,
 )
-from .reductions import gallai_transform, player_components
+from .reductions import gallai_transform, one_player_out
 
 log = logging.getLogger(__name__)
 
@@ -60,11 +60,7 @@ def decompose(game: SPGame) -> ComponentDecomposition:
     g = game.graph
     if len(g.terminals) != 1:
         raise ValueError("decompose expects a single-terminal game (merge first)")
-    comps = player_components(g)
-    comp_of = [0] * g.n_vertices
-    for cid, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = cid
+    comps, comp_of = g._player_components
     owners = tuple(g.owner[comp[0]] for comp in comps)
     for u, v in g.edge_set:
         if comp_of[u] != comp_of[v] and not g.is_terminal(v):
@@ -73,7 +69,7 @@ def decompose(game: SPGame) -> ComponentDecomposition:
                     f"same-player edge ({u}, {v}) crosses components; "
                     "the graph cannot be edge-symmetric"
                 )
-    return ComponentDecomposition(tuple(comp_of), tuple(tuple(c) for c in comps), owners)
+    return ComponentDecomposition(comp_of, comps, owners)
 
 
 @dataclass(frozen=True)
@@ -195,30 +191,31 @@ def intra_component_distance(
     return _entry_distances(game, dec, comp, u)[v]
 
 
-def _g_ip_edges(g: GameGraph, path: tuple[int, ...], player: int) -> list[tuple[int, int]]:
-    """Edge set of the one-player relaxation: path moves plus all of i's moves."""
-    edges = set(zip(path, path[1:]))
-    for v in g.nonterminals:
-        if g.owner[v] == player:
-            edges.update((v, w) for w in g.out[v])
-    return sorted(edges)
-
-
 def _speciality_gap(
     game: SPGame, sp: SpecialPath, player: int
-) -> tuple[Fraction, list[tuple[int, int]]]:
-    """Best cost player i can get in their relaxation, minus the path cost."""
+) -> tuple[Fraction, list[list[int]], list[tuple[Fraction, int] | None]]:
+    """Best cost player i can get in their relaxation, minus the path cost.
+
+    The relaxation keeps the path moves plus all of i's moves; its
+    adjacency and distance table come back with the gap.
+    """
     g = game.graph
-    vt = g.terminals[0]
-    edges = _g_ip_edges(g, sp.vertices, player)
+    path = sp.vertices
+    on_path: list[int | None] = [None] * g.n_vertices
+    for u, v in zip(path, path[1:]):
+        on_path[u] = v
+    adj = one_player_out(g, player, on_path)
     dist = graphalg.lex_dist_to(
-        g.n_vertices, edges, lambda u, v: game.cost(u, v, player), [vt]
+        g.n_vertices,
+        ((u, v) for u, row in enumerate(adj) for v in row),
+        lambda u, v: game.cost(u, v, player),
+        [g.terminals[0]],
     )
-    own = _path_cost(game, list(sp.vertices), player)
-    assert dist[sp.vertices[0]] is not None
-    gap = dist[sp.vertices[0]][0] - own
+    own = _path_cost(game, list(path), player)
+    assert dist[path[0]] is not None
+    gap = dist[path[0]][0] - own
     assert gap <= 0, "path cost exceeds its own relaxation"
-    return gap, edges
+    return gap, adj, dist
 
 
 def _best_splice(
@@ -291,7 +288,7 @@ def make_special(game: SPGame, dec: ComponentDecomposition, start_path: SpecialP
     while True:
         improved = False
         for player in game.graph.players:
-            gap, gip_edges = _speciality_gap(game, sp, player)
+            gap, gip_adj, gip_dist = _speciality_gap(game, sp, player)
             if gap == 0:
                 continue
             rounds += 1
@@ -299,14 +296,8 @@ def make_special(game: SPGame, dec: ComponentDecomposition, start_path: SpecialP
             if candidate is None:
                 # Improvements decompose into single splices; fall back to
                 # the full relaxation optimum if that ever fails to hold.
-                g = game.graph
-                dist = graphalg.lex_dist_to(
-                    g.n_vertices, gip_edges,
-                    lambda u, v: game.cost(u, v, player), [g.terminals[0]],
-                )
-                adj = graphalg.out_adjacency(g.n_vertices, gip_edges)
                 candidate = graphalg.canonical_path(
-                    sp.vertices[0], adj, lambda u, v: game.cost(u, v, player), dist
+                    sp.vertices[0], gip_adj, lambda u, v: game.cost(u, v, player), gip_dist
                 )
             new_sp = _make_special_path(game, dec, candidate)
             if new_sp.q != sp.q or not _revlex_smaller(new_sp.r_vector, sp.r_vector):

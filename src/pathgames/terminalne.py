@@ -5,13 +5,14 @@ players (loops stand for internal cycling). On the contracted game a NE is
 built by a three-case analysis around the start vertex: lock an infinite
 2-cycle, route to a neighbor's preferred terminal with protective moves, or
 strip the start's own terminal moves and recurse. The result is lifted back
-and checked against the exhaustive deviation oracle.
+and checked exactly, in polynomial time: for every player, the best value
+of their one-player relaxation at the start must not beat their cost.
 """
 
 from __future__ import annotations
 
-from . import graphalg, oracle
-from .errors import NotSymmetric, TooLarge, VerificationFailed
+from . import graphalg
+from .errors import NotSymmetric, VerificationFailed
 from .model import (
     GameGraph,
     Situation,
@@ -22,32 +23,6 @@ from .model import (
 from .play import terminal_cost, trace
 from .reductions import contract_small_game, lift_situation
 from .une import response_tables
-
-
-# Enumeration budget of the solver's own post-construction check; beyond it
-# the exact value-table route takes over.
-_VERIFY_CAP = 20000
-
-
-def _best_terminal(game: TerminalGame, v: int) -> int | None:
-    """Most preferred terminal move of v's controller, lowest id on ties."""
-    g = game.graph
-    moves = [w for w in g.out[v] if g.is_terminal(w)]
-    if not moves:
-        return None
-    return min(moves, key=lambda w: (game.cost_at(w, g.owner[v]), w))
-
-
-def _drop_edges(game: TerminalGame, drop: set[tuple[int, int]]) -> TerminalGame:
-    g = game.graph
-    graph = GameGraph(
-        owner=g.owner,
-        edges=tuple(e for e in g.sorted_edges() if e not in drop),
-        n_players=g.n_players,
-        initial=g.initial,
-        names=g.names,
-    )
-    return TerminalGame(graph, game.terminal_cost, game.infinite_cost)
 
 
 def _base_choice(g: GameGraph) -> dict[int, int]:
@@ -62,12 +37,12 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
     own_terminals = [w for w in g.out[v0] if g.is_terminal(w)]
     if own_terminals:
         # Case 3: argue about the game without v0's terminal moves.
-        t0 = _best_terminal(game, v0)
+        t0 = game.best_terminal(v0)
         if all(g.is_terminal(w) for w in g.out[v0]):
             choice = _base_choice(g)
             choice[v0] = t0
             return Situation.of(g, choice)
-        sub = _drop_edges(game, {(v0, w) for w in own_terminals})
+        sub = game.restricted(g.edge_set.difference((v0, w) for w in own_terminals))
         inner = _solve_contracted(sub, v0)
         me = g.owner[v0]
         inner_value = terminal_cost(sub, trace(sub.graph, inner, v0), me)
@@ -76,7 +51,7 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
         return Situation.of(g, {**dict(inner.items()), v0: t0})
 
     neighbors = [v for v in g.out[v0]]  # all non-terminal here
-    dead_ends = [v for v in neighbors if _best_terminal(game, v) is None]
+    dead_ends = [v for v in neighbors if game.best_terminal(v) is None]
     choice = _base_choice(g)
     if dead_ends:
         # Case 1: lock the infinite 2-cycle v0 <-> v1; nobody on it can
@@ -94,8 +69,8 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
     # Case 2: every neighbor has a terminal move; aim for the one whose
     # preferred terminal suits v0's controller best.
     me = g.owner[v0]
-    v1 = min(neighbors, key=lambda v: (game.cost_at(_best_terminal(game, v), me), v))
-    t1 = _best_terminal(game, v1)
+    v1 = min(neighbors, key=lambda v: (game.cost_at(game.best_terminal(v), me), v))
+    t1 = game.best_terminal(v1)
     holder = g.owner[v1]
     if game.cost_at(t1, holder) < game.cycle_cost(holder):
         # Subcase 2.1: the play v0 -> v1 -> t1; v1's other exits are walled
@@ -106,7 +81,7 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
         v1_neighbors = set(g.out[v1])
         for v in neighbors:
             if v != v1 and v not in v1_neighbors:
-                choice[v] = _best_terminal(game, v)
+                choice[v] = game.best_terminal(v)
         choice[v1] = t1
         choice[v0] = v1
         return Situation.of(g, choice)
@@ -141,8 +116,9 @@ def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
     Raises NotSymmetric when the precondition fails and VerificationFailed
     if the constructed situation does not survive the deviation check, which
     would signal a bug here rather than a property of the input. The check
-    enumerates deviating strategies when that fits under the enumeration cap
-    and otherwise falls back to exact one-player value tables.
+    compares each player's cost with the optimum of their one-player
+    relaxation against the others' fixed moves, so it is exact and never
+    enumerates strategies.
     """
     g = game.graph
     if start is None:
@@ -154,14 +130,6 @@ def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
     small, cmap = contract_small_game(game)
     inner = _solve_contracted(small, cmap.component[start])
     situation = lift_situation(inner, cmap)
-    try:
-        check = oracle.verify_ne_terminal(game, situation, start, cap=_VERIFY_CAP)
-    except TooLarge:
-        _value_table_ne_check(game, situation, start)
-        return situation
-    if not check.ok:
-        raise VerificationFailed(
-            f"constructed situation admits a deviation: {check.note}"
-        )
+    _value_table_ne_check(game, situation, start)
     return situation
 

@@ -16,12 +16,13 @@ from fractions import Fraction
 
 from .errors import (
     ConditionViolated,
+    InternalCheckFailed,
     PotentialNotDecreased,
     VerificationFailed,
 )
-from .model import GameGraph, Situation, TerminalGame, is_edge_symmetric
+from .model import Situation, TerminalGame
 from .play import outcomes
-from .reductions import UnePrep, une_preprocess
+from .reductions import UnePrep, one_player_out, une_preprocess
 
 
 @dataclass(frozen=True)
@@ -39,21 +40,11 @@ class ResponseTables:
     layer: tuple[int | None, ...]
 
 
-def _one_player_out(g: GameGraph, situation: Situation, player: int) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(g.n_vertices)]
-    for v in g.nonterminals:
-        if g.owner[v] == player:
-            adj[v] = list(g.out[v])
-        else:
-            adj[v] = [situation[v]]
-    return adj
-
-
 def response_tables(game: TerminalGame, situation: Situation, player: int) -> ResponseTables:
     """Per-vertex optima for one player against the other's fixed moves."""
     g = game.graph
     n = g.n_vertices
-    adj = _one_player_out(g, situation, player)
+    adj = one_player_out(g, player, situation.moves)
     radj: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for w in adj[v]:
@@ -143,7 +134,8 @@ def _assemble_strategy(
             ]
         else:
             good = [w for w in g.out[v] if not g.is_terminal(w) and value[w] == c]
-        assert good, f"no optimal move at vertex {v}"
+        if not good:
+            raise InternalCheckFailed(f"no optimal move at vertex {v}")
         incumbent = situation[v]
         strategy[v] = incumbent if incumbent in good else good[0]
     return strategy
@@ -240,9 +232,9 @@ def initial_basic_situation(
         if v in unreachable:
             choice[v] = g.out[v][0]
             continue
-        moves = [w for w in g.out[v] if g.is_terminal(w)]
-        if moves:
-            choice[v] = min(moves, key=lambda w: (game.cost_at(w, g.owner[v]), w))
+        best = game.best_terminal(v)
+        if best is not None:
+            choice[v] = best
             colored.add(v)
     pending = [v for v in g.nonterminals if v not in choice]
     while pending:
@@ -251,7 +243,8 @@ def initial_basic_situation(
             for v in sorted(pending)
         ]
         frontier = [(v, ws) for v, ws in frontier if ws]
-        assert frontier, "uncolored vertex cannot reach the colored region"
+        if not frontier:
+            raise InternalCheckFailed("uncolored vertex cannot reach the colored region")
         for v, ws in frontier:
             choice[v] = ws[0]
         for v, _ in frontier:
@@ -306,10 +299,7 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
     re-verified against per-player value tables on the original game.
     """
     g = game.graph
-    if g.n_players != 2:
-        raise ConditionViolated("TWO", f"{g.n_players} players")
-    if not is_edge_symmetric(g):
-        raise ConditionViolated("SYM")
+    prep = une_preprocess(game)  # raises TWO and SYM
     for p in g.players:
         if game.cycle_cost(p) != 0:
             raise ConditionViolated("CIW", f"player {p} infinite-play cost is nonzero")
@@ -319,7 +309,6 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
                     "CIW", f"terminal {w} is not better than cycling for player {p}"
                 )
 
-    prep = une_preprocess(game)
     work = _normalize_costs(prep.game)
     wg = work.graph
     sigma = initial_basic_situation(work, prep.unreachable)

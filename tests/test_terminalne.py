@@ -5,13 +5,14 @@ import random
 import pytest
 
 import genutil
-from pathgames import oracle
-from pathgames.errors import NotSymmetric
-from pathgames.model import terminal_game
+from pathgames import graphalg, oracle, terminalne
+from pathgames.errors import NotSymmetric, VerificationFailed
+from pathgames.model import Situation, lowest_id_situation, terminal_game
 from pathgames.play import terminal_cost, trace
-from pathgames.reductions import terminal_to_sp
+from pathgames.reductions import contract_small_game, lift_situation, terminal_to_sp
 from pathgames.spne import solve_theorem1
-from pathgames.terminalne import solve_theorem2
+from pathgames.terminalne import _value_table_ne_check, solve_theorem2
+from pathgames.une import solve_theorem3
 
 
 def test_solve_g2_from_vertex_1(g2):
@@ -162,3 +163,46 @@ def test_huge_strategy_space_uses_value_table_check():
     )
     situation = solve_theorem2(game)
     assert trace(game.graph, situation, 3).terminal == n
+
+
+def test_value_table_check_agrees_with_exhaustive_oracle():
+    # random lifted situations on non-CIW games with self-loops, every start
+    rng = random.Random(41)
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        game = genutil.random_symmetric_terminal(rng, max_v=7)
+        small, cmap = contract_small_game(game)
+        sg = small.graph
+        inner = Situation.of(sg, {v: rng.choice(sg.out[v]) for v in sg.nonterminals})
+        situation = lift_situation(inner, cmap)
+        for start in game.graph.nonterminals:
+            is_ne = oracle.verify_ne_terminal(game, situation, start).ok
+            try:
+                _value_table_ne_check(game, situation, start)
+                passed = True
+            except VerificationFailed:
+                passed = False
+            assert passed == is_ne, (game, situation, start)
+            verdicts[is_ne] += 1
+    assert verdicts[True] >= 300 and verdicts[False] >= 300, verdicts
+
+
+def test_broken_construction_fails_verification(chain, monkeypatch):
+    # the all-lowest-id situation cycles between the two players, and
+    # player 2 gains by exiting to the terminal
+    monkeypatch.setattr(
+        terminalne, "_solve_contracted", lambda game, v0: lowest_id_situation(game.graph)
+    )
+    with pytest.raises(VerificationFailed):
+        solve_theorem2(chain)
+
+
+def test_theorems_2_and_3_share_one_component_pass(monkeypatch):
+    sccs = genutil.count_calls(monkeypatch, graphalg, "strongly_connected_components")
+    rng = random.Random(97)
+    for _ in range(10):
+        game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
+        sccs.clear()
+        solve_theorem2(game)
+        solve_theorem3(game)
+        assert len(sccs) == 1

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 import genutil
+import pathgames
 from pathgames import graphalg, oracle, play
 from pathgames.errors import ConditionViolated
 from pathgames.model import Situation, terminal_game
@@ -334,3 +339,50 @@ def test_solve_theorem3_evaluates_all_starts_in_one_pass(monkeypatch):
         assert len(sccs) == 1
         improved += result.rounds > 0
     assert improved >= 3
+
+
+def test_terminal_path_checks_raise_under_dash_O():
+    # These checks must not be plain asserts: under -O the first one used to
+    # loop forever.
+    code = textwrap.dedent(
+        """
+        import sys
+        from fractions import Fraction
+        from pathgames.errors import InternalCheckFailed
+        from pathgames.model import Situation, terminal_game
+        from pathgames.reductions import contract_small_game, lift_situation
+        from pathgames.une import ResponseTables, _assemble_strategy, initial_basic_situation
+
+        # vertices 0 and 1 cannot reach the terminal and are not marked so
+        cut_off = terminal_game(
+            [1, 2, 1, None], [(0, 1), (1, 0), (2, 3)], {3: (-1, -1)}, n_players=2
+        )
+        exit_only = terminal_game([1, None], [(0, 1)], {1: (-1,)}, n_players=1)
+        no_route = ResponseTables(1, (Fraction(-5), Fraction(-1)), (1, 0))
+        chain = terminal_game(
+            [1, 2, None], [(0, 1), (1, 0), (1, 2)], {2: (-1, -1)}, n_players=2
+        )
+        _, cmap = contract_small_game(chain)
+        for run in (
+            lambda: initial_basic_situation(cut_off),
+            lambda: _assemble_strategy(exit_only, Situation((1, None)), no_route),
+            lambda: lift_situation(Situation((None, None, None)), cmap),
+        ):
+            try:
+                run()
+            except InternalCheckFailed as exc:
+                print(sys.flags.optimize, exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(pathgames.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "1 uncolored vertex cannot reach the colored region",
+        "1 no optimal move at vertex 0",
+        "1 situation has no move at component 0",
+    ]
