@@ -18,15 +18,20 @@ from .model import Game, GameGraph, SPGame, Situation, TerminalGame
 
 
 def parse_rational(value: Any) -> Fraction:
+    if isinstance(value, str):
+        try:
+            # Plain ASCII "p" and "p/q" skip Fraction's regex parser; the
+            # values are the same, and anything else takes the full parser.
+            num, slash, den = value.partition("/")
+            if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+                return Fraction(int(num), int(den or 1))
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GameFormatError(f"not a rational: {value!r}") from exc
     if isinstance(value, bool):
         raise GameFormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"not a rational: {value!r}") from exc
     if isinstance(value, float):
         raise GameFormatError(
             f"float {value!r} is not exact; write it as a string like \"1/100\""
@@ -90,7 +95,7 @@ def game_from_dict(data: dict) -> Game:
             costs = entry.get("costs")
             if not isinstance(costs, list) or len(costs) != n_players:
                 raise GameFormatError(f"edge ({u}, {v}) needs {n_players} costs")
-            edge_cost[(u, v)] = tuple(parse_rational(c) for c in costs)
+            edge_cost[(u, v)] = tuple(map(parse_rational, costs))
 
     graph = GameGraph(
         owner=tuple(owner),
@@ -110,7 +115,7 @@ def game_from_dict(data: dict) -> Game:
             raise GameFormatError(f"terminal_costs key {key!r} is not a vertex id") from exc
         if not isinstance(costs, list) or len(costs) != n_players:
             raise GameFormatError(f"terminal {w} needs {n_players} costs")
-        terminal_cost[w] = tuple(parse_rational(c) for c in costs)
+        terminal_cost[w] = tuple(map(parse_rational, costs))
     infinite = tuple(
         parse_rational(c) for c in data.get("infinite_costs", [0] * n_players)
     )

@@ -1,21 +1,24 @@
 """Deterministic exact-arithmetic graph primitives.
 
 All functions work on vertices 0..n-1 with explicit edge lists and weight
-callables returning exact numbers (int or Fraction). The shortest-path and
-cycle kernels multiply every weight by one LCM of the denominators and run
-on the resulting integers; results come back as ``Fraction``s, so they are
-exactly what the same algorithm over rationals would return. Every tie is
-broken by vertex id so repeated runs produce identical results.
+callables returning ``int``s. Callers with rational costs multiply them by
+one positive common multiple of the denominators first (``SPGame`` keeps
+one such integer table per game). Scaling keeps every sum, comparison and
+tie, so an integer result ``r`` stands exactly for ``r / scale``.
+Distances and potentials come back as ints, the minimum cycle mean as an
+exact ratio of ints. Every tie is broken by vertex id so repeated runs
+produce identical results.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-Weight = Callable[[int, int], Fraction]
+from .errors import InternalCheckFailed
+
+Weight = Callable[[int, int], int]
 
 
 def out_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -28,12 +31,7 @@ def out_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
 
 
 def in_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[v].append(u)
-    for row in adj:
-        row.sort()
-    return adj
+    return out_adjacency(n, ((v, u) for u, v in edges))
 
 
 def strongly_connected_components(
@@ -114,31 +112,31 @@ def _lex_dist(
     weight: Weight,
     seeds: Iterable[int],
     forward: bool,
-) -> list[tuple[Fraction, int] | None]:
-    """Lexicographic (cost, hops) Dijkstra from ``seeds`` on integer weights.
+) -> list[tuple[int, int] | None]:
+    """Lexicographic (cost, hops) Dijkstra from ``seeds``.
 
     With ``forward`` the search follows the edges (distances from the
     seeds), otherwise it runs against them (distances to the seeds). The
     direction is applied here rather than by reversing the edge list, so a
     negative weight is reported on the caller's edge, the first in sorted
-    order.
+    order. The distances do not depend on the order of ``edges``.
     """
-    edge_list = sorted(set(edges))
-    ws, scale = _scaled(edge_list, weight)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), w in zip(edge_list, ws):
+    negative = []
+    for u, v in edges:
+        w = weight(u, v)
         if w < 0:
-            raise ValueError(f"negative weight on edge ({u}, {v})")
-        if forward:
+            negative.append((u, v))
+        elif forward:
             adj[u].append((v, w))
         else:
             adj[v].append((u, w))
+    if negative:
+        raise ValueError(f"negative weight on edge {min(negative)}")
     dist: list[tuple[int, int] | None] = [None] * n
-    heap: list[tuple[int, int, int]] = []
-    for s in sorted(set(seeds)):
+    heap = [(0, 0, s) for s in sorted(set(seeds))]  # sorted, so already a heap
+    for _, _, s in heap:
         dist[s] = (0, 0)
-        heap.append((0, 0, s))
-    heapq.heapify(heap)
     done = [False] * n
     while heap:
         c, h, v = heapq.heappop(heap)
@@ -153,7 +151,7 @@ def _lex_dist(
             if du is None or cand < du:
                 dist[u] = cand
                 heapq.heappush(heap, (c + w, h + 1, u))
-    return [None if d is None else (Fraction(d[0], scale), d[1]) for d in dist]
+    return dist
 
 
 def lex_dist_to(
@@ -161,7 +159,7 @@ def lex_dist_to(
     edges: Iterable[tuple[int, int]],
     weight: Weight,
     targets: Iterable[int],
-) -> list[tuple[Fraction, int] | None]:
+) -> list[tuple[int, int] | None]:
     """Lexicographic (cost, hops) shortest distance from each vertex to targets.
 
     Runs Dijkstra on the reversed graph, so weights must be nonnegative.
@@ -176,7 +174,7 @@ def lex_dist_from(
     edges: Iterable[tuple[int, int]],
     weight: Weight,
     sources: Iterable[int],
-) -> list[tuple[Fraction, int] | None]:
+) -> list[tuple[int, int] | None]:
     """Forward counterpart of :func:`lex_dist_to`."""
     return _lex_dist(n, edges, weight, sources, forward=True)
 
@@ -185,46 +183,32 @@ def canonical_path(
     start: int,
     out: Sequence[Sequence[int]],
     weight: Weight,
-    dist: Sequence[tuple[Fraction, int] | None],
+    dist: Sequence[tuple[int, int] | None],
 ) -> list[int]:
     """Reconstruct the canonical optimal path for a lex_dist_to table."""
     if dist[start] is None:
         raise ValueError(f"no path from vertex {start}")
     path = [start]
     v = start
-    while dist[v] != (Fraction(0), 0):
+    while dist[v] != (0, 0):
         c, h = dist[v]
-        step = None
-        for u in out[v]:
-            du = dist[u]
-            if du is not None and du[0] + weight(v, u) == c and du[1] + 1 == h:
-                step = u
-                break
-        assert step is not None, "inconsistent distance table"
+        step = next((u for u in out[v] if dist[u] == (c - weight(v, u), h - 1)), None)
+        if step is None:
+            raise InternalCheckFailed("inconsistent distance table")
         path.append(step)
         v = step
     return path
 
 
-def _scaled(edge_list: Sequence[tuple[int, int]], weight: Weight) -> tuple[list[int], int]:
-    """Exact integer images ``w * scale`` of the weights of ``edge_list``.
+def bellman_ford_potentials(
+    n: int, edges: Iterable[tuple[int, int]], weight: Weight
+) -> list[int]:
+    """Shortest walk cost to each vertex from a virtual all-zero source.
 
-    ``scale`` is the LCM of the weights' denominators (1 for no edges).
-    Scaling by a positive constant keeps every sum and comparison, so the
-    integer kernels take the same steps as they would over rationals, and
-    an integer result ``r`` stands for ``Fraction(r, scale)``.
+    The caller must guarantee there is no negative cycle; an AssertionError
+    here means that guarantee was broken.
     """
-    ws = [weight(u, v) for u, v in edge_list]
-    scale = math.lcm(*(w.denominator for w in ws))
-    return [w.numerator * (scale // w.denominator) for w in ws], scale
-
-
-def _relax_from_zero(n: int, weighted: Sequence[tuple[int, int, int]]) -> list[int]:
-    """Bellman-Ford from a virtual source joined to every vertex at cost 0.
-
-    ``weighted`` lists (u, v, w) triples in relaxation order. The caller
-    must guarantee there is no negative cycle.
-    """
+    weighted = [(u, v, weight(u, v)) for u, v in sorted(set(edges))]
     dist = [0] * n
     for _ in range(n):
         changed = False
@@ -236,20 +220,6 @@ def _relax_from_zero(n: int, weighted: Sequence[tuple[int, int, int]]) -> list[i
         if not changed:
             return dist
     raise AssertionError("negative cycle in potential computation")
-
-
-def bellman_ford_potentials(
-    n: int, edges: Iterable[tuple[int, int]], weight: Weight
-) -> list[Fraction]:
-    """Shortest walk cost to each vertex from a virtual all-zero source.
-
-    The caller must guarantee there is no negative cycle; an AssertionError
-    here means that guarantee was broken.
-    """
-    edge_list = sorted(set(edges))
-    ws, scale = _scaled(edge_list, weight)
-    dist = _relax_from_zero(n, [(u, v, w) for (u, v), w in zip(edge_list, ws)])
-    return [Fraction(d, scale) for d in dist]
 
 
 def _karp_min_mean(m: int, ledges: list[tuple[int, int, int]]) -> tuple[int, int] | None:
@@ -301,10 +271,10 @@ def _extract_mean_cycle(
     """
     num, den = mean
     m = len(comp)
-    shifted = [(u, v, w * den - num) for u, v, w in ledges]
-    pot = _relax_from_zero(m, shifted)
+    shifted = {(u, v): w * den - num for u, v, w in ledges}
+    pot = bellman_ford_potentials(m, shifted, lambda u, v: shifted[u, v])
     tight: list[list[int]] = [[] for _ in range(m)]
-    for u, v, s in shifted:
+    for (u, v), s in shifted.items():
         if pot[u] + s == pot[v]:
             tight[u].append(v)
     # Any cycle of tight edges telescopes to a zero shifted sum.
@@ -351,7 +321,6 @@ def min_cycle_mean(
     listed from its smallest vertex.
     """
     edge_list = sorted(set(edges))
-    ws, scale = _scaled(edge_list, weight)
     comps = strongly_connected_components(n, out_adjacency(n, edge_list))
     comp_id = [0] * n
     local = [0] * n
@@ -360,9 +329,9 @@ def min_cycle_mean(
             comp_id[v] = i
             local[v] = j
     inner: list[list[tuple[int, int, int]]] = [[] for _ in comps]
-    for (u, v), w in zip(edge_list, ws):
+    for u, v in edge_list:
         if comp_id[u] == comp_id[v]:
-            inner[comp_id[u]].append((local[u], local[v], w))
+            inner[comp_id[u]].append((local[u], local[v], weight(u, v)))
     best: tuple[int, int] | None = None
     best_i = 0
     for i, comp in enumerate(comps):
@@ -372,4 +341,4 @@ def min_cycle_mean(
     if best is None:
         return None, None
     cycle = _extract_mean_cycle(comps[best_i], inner[best_i], best)
-    return Fraction(best[0], best[1] * scale), cycle
+    return Fraction(*best), cycle

@@ -1,13 +1,16 @@
 """Core game data model: graphs, costs, situations, and structural checks.
 
 Vertices are dense integers 0..|V|-1. Players are numbered 1..n; a vertex
-owner of ``None`` marks a terminal. All cost values are exact
+owner of ``None`` marks a terminal. All cost values at the API are exact
 ``fractions.Fraction`` numbers so comparisons and ties are deterministic.
-Every type here is immutable value data and safe to share between threads.
+Inside, a shortest path game also keeps one integer image of its costs,
+scaled by one game-wide factor, which the graph kernels run on. Every type
+here is immutable value data and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -154,6 +157,26 @@ class SPGame:
     def cost(self, u: int, v: int, player: int) -> Fraction:
         return self.edge_cost[(u, v)][player - 1]
 
+    @cached_property
+    def _int_costs(self) -> tuple[int, tuple[dict[tuple[int, int], int], ...]]:
+        """One game-wide scale S > 0 and, per player, every move's cost times S.
+
+        S is the LCM of all cost denominators (or the scale of the game this
+        one was merged from), so every sum, comparison and tie on these ints
+        matches the rational one. Computed once per game.
+        """
+        costs = self.edge_cost
+        scale = math.lcm(*{c.denominator for cs in costs.values() for c in cs})
+        return scale, tuple(
+            {e: cs[i].numerator * (scale // cs[i].denominator) for e, cs in costs.items()}
+            for i in range(self.graph.n_players)
+        )
+
+    def _int_weight(self, player: int) -> graphalg.Weight:
+        """The player's scaled integer costs as a graph kernel weight."""
+        row = self._int_costs[1][player - 1]
+        return lambda u, v: row[u, v]
+
 
 @dataclass(frozen=True)
 class TerminalGame:
@@ -194,6 +217,12 @@ class TerminalGame:
     def restricted(self, edges: Iterable[tuple[int, int]]) -> "TerminalGame":
         """The same game with only the given moves left."""
         return replace(self, graph=replace(self.graph, edges=tuple(sorted(edges))))
+
+    @cached_property
+    def _contraction(self):
+        """``reductions.contract_small_game``'s result, built once per game."""
+        from .reductions import _contract  # reductions imports this module
+        return _contract(self)
 
 
 Game = SPGame | TerminalGame
@@ -311,8 +340,7 @@ class PositivityReport:
 
 def _edge_positive(game: SPGame) -> bool:
     """True iff every move costs every player a positive amount."""
-    # A Fraction's denominator is positive, so its numerator carries the sign.
-    return all(c.numerator > 0 for e in game.graph.edge_set for c in game.edge_cost[e])
+    return all(min(row.values(), default=1) > 0 for row in game._int_costs[1])
 
 
 def is_positive(game: SPGame) -> PositivityReport:
@@ -323,9 +351,7 @@ def is_positive(game: SPGame) -> PositivityReport:
     g = game.graph
     edges = g.sorted_edges()
     for player in g.players:
-        mean, cycle = graphalg.min_cycle_mean(
-            g.n_vertices, edges, lambda u, v, p=player: game.cost(u, v, p)
-        )
+        mean, cycle = graphalg.min_cycle_mean(g.n_vertices, edges, game._int_weight(player))
         if mean is not None and mean <= 0:
             return PositivityReport(False, False, player, tuple(cycle))
     return PositivityReport(False, True)
@@ -374,8 +400,7 @@ def merge_terminals(game: SPGame) -> tuple[SPGame, TerminalMerge]:
         old_to_new[w] = vt
     new_to_old: list[int | None] = list(nonterm) + [None]
 
-    new_edges: list[tuple[int, int]] = []
-    new_cost: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    source: dict[tuple[int, int], tuple[int, int]] = {}
     chosen: dict[int, int] = {}
     for u in nonterm:
         u_new = old_to_new[u]
@@ -387,26 +412,27 @@ def merge_terminals(game: SPGame) -> tuple[SPGame, TerminalMerge]:
                 if best_terminal is None or key < best_terminal:
                     best_terminal = key
             else:
-                e = (u_new, old_to_new[v])
-                new_edges.append(e)
-                new_cost[e] = game.edge_cost[(u, v)]
+                source[(u_new, old_to_new[v])] = (u, v)
         if best_terminal is not None:
             w = best_terminal[1]
             chosen[u_new] = w
-            new_edges.append((u_new, vt))
-            new_cost[(u_new, vt)] = game.edge_cost[(u, w)]
+            source[(u_new, vt)] = (u, w)
 
     owner = tuple(g.owner[v] for v in nonterm) + (TERMINAL,)
     names = tuple(g.names[v] for v in nonterm) + ("T",)
     initial = old_to_new[g.initial] if g.initial is not None else None
     merged_graph = GameGraph(
         owner=owner,
-        edges=tuple(sorted(new_edges)),
+        edges=tuple(sorted(source)),
         n_players=g.n_players,
         initial=initial,
         names=names,
     )
-    merged = SPGame(merged_graph, new_cost)
+    merged = SPGame(merged_graph, {e: game.edge_cost[old] for e, old in source.items()})
+    # same costs, so the same scale: reuse the input game's integer table
+    scale, rows = game._int_costs
+    tables = tuple({e: row[old] for e, old in source.items()} for row in rows)
+    object.__setattr__(merged, "_int_costs", (scale, tables))
     merge_map = TerminalMerge(
         old_to_new=tuple(old_to_new),
         new_to_old=tuple(new_to_old),

@@ -11,16 +11,15 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from math import prod
 from typing import Iterator, Mapping
 
 from . import graphalg
 from .errors import PathgamesError, TooLarge
 from .model import (
-    ExtCost,
     Game,
     GameGraph,
-    PLUS_INF,
     SPGame,
     Situation,
     TerminalGame,
@@ -286,31 +285,25 @@ def verify_ne_sp(
     start = _require_start(game, start)
     g = game.graph
     if _edge_positive(game):
+        # an infinite play costs +inf here; all sums run on the integer table
         play = trace(g, situation, start)
+        walked = play.path_edges() if play.is_terminal else None
         for player in g.players:
-            cur = sp_cost(game, play, player)
             edges = _one_player_edges(g, situation, player)
-            dist = graphalg.lex_dist_to(
-                g.n_vertices, edges, lambda u, v, p=player: game.cost(u, v, p), g.terminals
-            )
+            weight = game._int_weight(player)
+            dist = graphalg.lex_dist_to(g.n_vertices, edges, weight, g.terminals)
             reach = dist[start]
-            better = (
-                reach is not None
-                and (cur == PLUS_INF or ExtCost.finite(reach[0]) < cur)
+            better = reach is not None and (
+                walked is None or reach[0] < sum(weight(u, v) for u, v in walked)
             )
             if better:
                 adj = graphalg.out_adjacency(g.n_vertices, edges)
-                path = graphalg.canonical_path(
-                    start, adj, lambda u, v, p=player: game.cost(u, v, p), dist
-                )
-                override = {
-                    u: w
-                    for u, w in zip(path, path[1:])
-                    if g.owner[u] == player
-                }
+                path = graphalg.canonical_path(start, adj, weight, dist)
+                override = {u: w for u, w in zip(path, path[1:]) if g.owner[u] == player}
+                cost = Fraction(reach[0], game._int_costs[0])
                 return VerifyReport(
                     False, player, start, situation.replace(override),
-                    note=f"player {player} can reach a terminal at cost {reach[0]}",
+                    note=f"player {player} can reach a terminal at cost {cost}",
                 )
         return VerifyReport(True, start=start)
     return _verify_ne_exhaustive(game, situation, start, cap)

@@ -61,26 +61,31 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     g = game.graph
     n = g.n_vertices
     edges = g.sorted_edges()
-    zero_row = (Fraction(0),) * n
     if _edge_positive(game):
-        return GallaiResult(game, Potential((zero_row,) * g.n_players))
+        return GallaiResult(game, Potential(((Fraction(0),) * n,) * g.n_players))
 
+    # On the game's integer table (costs times S), a minimum cycle mean
+    # num/den makes 2*den*w - num the weight w - eps with eps = mean/2, in
+    # units of 1/(2*S*den); an acyclic graph takes eps = 1 (num/den = 2S).
+    scale = game._int_costs[0]
     rows = []
     new_cost: dict[tuple[int, int], list[Fraction]] = {e: [] for e in edges}
     for player in g.players:
-        weight = lambda u, v, p=player: game.cost(u, v, p)
+        weight = game._int_weight(player)
         mean, cycle = graphalg.min_cycle_mean(n, edges, weight)
         if mean is not None and mean <= 0:
             raise NonPositiveCycle(player, tuple(cycle))
-        # Acyclic graphs put no constraint on eps; any positive value works.
-        eps = mean / 2 if mean is not None else Fraction(1)
-        shifted = lambda u, v, p=player, e=eps: game.cost(u, v, p) - e
-        pi = graphalg.bellman_ford_potentials(n, edges, shifted)
-        rows.append(tuple(pi))
-        for u, v in edges:
-            c = game.cost(u, v, player) + pi[u] - pi[v]
-            assert c >= eps, "potential failed to make the edge positive"
-            new_cost[(u, v)].append(c)
+        num, den = (mean.numerator, mean.denominator) if mean is not None else (2 * scale, 1)
+        shifted = {(u, v): 2 * den * weight(u, v) - num for u, v in edges}
+        pi = graphalg.bellman_ford_potentials(n, edges, lambda u, v: shifted[u, v])
+        unit = 2 * scale * den
+        rows.append(tuple(Fraction(p, unit) for p in pi))
+        for (u, v), w in shifted.items():
+            # the new cost minus eps, in the same units
+            slack = w + pi[u] - pi[v]
+            if slack < 0:
+                raise InternalCheckFailed("potential failed to make the edge positive")
+            new_cost[(u, v)].append(Fraction(slack + num, unit))
     transformed = SPGame(g, {e: tuple(cs) for e, cs in new_cost.items()})
     return GallaiResult(transformed, Potential(tuple(rows)))
 
@@ -175,8 +180,13 @@ def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMa
     Components with at least two vertices get a self-loop standing for the
     ability to cycle internally forever; singleton components keep a loop
     only if the original vertex had one. Parallel edges are collapsed and the
-    smallest original edge is kept as representative.
+    smallest original edge is kept as representative. Built once per game
+    and shared by every caller.
     """
+    return game._contraction
+
+
+def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
     g = game.graph
     comps, comp_of = g._player_components
     rep: dict[tuple[int, int], tuple[int, int]] = {}

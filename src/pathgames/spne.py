@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from . import graphalg, oracle
 from .errors import (
+    InternalCheckFailed,
     MeasureNotDecreased,
     NonPositiveCycle,
     NotPositive,
@@ -105,24 +106,24 @@ def _split_blocks(path: list[int], dec: ComponentDecomposition):
     return blocks, comps
 
 
-def _path_cost(game: SPGame, path: list[int], player: int) -> Fraction:
-    return sum(
-        (game.cost(u, v, player) for u, v in zip(path, path[1:])), Fraction(0)
-    )
+def _path_cost(game: SPGame, path: list[int], player: int) -> int:
+    """The path's cost to the player on the game's integer table."""
+    row = game._int_costs[1][player - 1]
+    return sum(row[e] for e in zip(path, path[1:]))
 
 
 def _make_special_path(game: SPGame, dec: ComponentDecomposition, path: list[int]) -> SpecialPath:
     blocks, comps = _split_blocks(path, dec)
     if len(set(comps)) != len(comps):
         raise AssertionError("path re-enters a component it left")
+    # each block's moves plus its exit, in the block owner's costs
+    scale = game._int_costs[0]
     r = []
-    for j, block in enumerate(blocks[:-1]):
-        owner = dec.comp_owner[comps[j]]
-        total = Fraction(0)
-        pos = path.index(block[0])
-        for k in range(pos, pos + len(block)):
-            total += game.cost(path[k], path[k + 1], owner)
-        r.append(total)
+    end = 0
+    for c, block in zip(comps, blocks[:-1]):
+        end += len(block)
+        total = _path_cost(game, path[end - len(block) : end + 1], dec.comp_owner[c])
+        r.append(Fraction(total, scale))
     return SpecialPath(
         vertices=tuple(path),
         block_comp=tuple(comps),
@@ -159,28 +160,28 @@ def lambda_shortest(game: SPGame, dec: ComponentDecomposition, v0: int) -> Speci
         raise Unreachable(f"terminal not reachable from vertex {v0}")
     path = graphalg.canonical_path(v0, g.out, lam, dist)
     sp = _make_special_path(game, dec, path)
-    assert sp.q == dist[v0][0] + 1, "block count disagrees with crossing distance"
+    if sp.q != dist[v0][0] + 1:
+        raise InternalCheckFailed("block count disagrees with crossing distance")
     return sp
 
 
 def _entry_distances(
     game: SPGame, dec: ComponentDecomposition, comp: int, source: int
-) -> dict[int, Fraction]:
+) -> dict[int, int]:
     """Shortest cost from ``source`` to every member of its component.
 
-    Only moves inside the component count, priced in its owner's costs.
+    Only moves inside the component count, in its owner's integer costs.
     """
     members = dec.members[comp]
     if len(members) == 1:  # also the terminal's component, which has no owner
-        return {source: Fraction(0)}
+        return {source: 0}
     g = game.graph
     owner = dec.comp_owner[comp]
     inside = set(members)
     edges = [(a, b) for a in members for b in g.out[a] if b in inside]
-    dist = graphalg.lex_dist_from(
-        g.n_vertices, edges, lambda a, b: game.cost(a, b, owner), [source]
-    )
-    assert all(dist[m] is not None for m in members), "component is not strongly connected"
+    dist = graphalg.lex_dist_from(g.n_vertices, edges, game._int_weight(owner), [source])
+    if any(dist[m] is None for m in members):
+        raise InternalCheckFailed("component is not strongly connected")
     return {m: dist[m][0] for m in members}
 
 
@@ -188,16 +189,16 @@ def intra_component_distance(
     game: SPGame, dec: ComponentDecomposition, comp: int, u: int, v: int
 ) -> Fraction:
     """Shortest u -> v cost inside one component, in its owner's costs."""
-    return _entry_distances(game, dec, comp, u)[v]
+    return Fraction(_entry_distances(game, dec, comp, u)[v], game._int_costs[0])
 
 
 def _speciality_gap(
     game: SPGame, sp: SpecialPath, player: int
-) -> tuple[Fraction, list[list[int]], list[tuple[Fraction, int] | None]]:
+) -> tuple[int, list[list[int]], list[tuple[int, int] | None]]:
     """Best cost player i can get in their relaxation, minus the path cost.
 
     The relaxation keeps the path moves plus all of i's moves; its
-    adjacency and distance table come back with the gap.
+    adjacency and (integer) distance table come back with the gap.
     """
     g = game.graph
     path = sp.vertices
@@ -208,13 +209,14 @@ def _speciality_gap(
     dist = graphalg.lex_dist_to(
         g.n_vertices,
         ((u, v) for u, row in enumerate(adj) for v in row),
-        lambda u, v: game.cost(u, v, player),
+        game._int_weight(player),
         [g.terminals[0]],
     )
-    own = _path_cost(game, list(path), player)
-    assert dist[path[0]] is not None
-    gap = dist[path[0]][0] - own
-    assert gap <= 0, "path cost exceeds its own relaxation"
+    if dist[path[0]] is None:
+        raise InternalCheckFailed("path start cannot reach the terminal in its relaxation")
+    gap = dist[path[0]][0] - _path_cost(game, list(path), player)
+    if gap > 0:
+        raise InternalCheckFailed("path cost exceeds its own relaxation")
     return gap, adj, dist
 
 
@@ -229,6 +231,7 @@ def _best_splice(
     (then earliest, then lowest ids) is returned, or None.
     """
     g = game.graph
+    weight = game._int_weight(player)
     path = list(sp.vertices)
     pos_block = []
     for j, block in enumerate(sp.blocks):
@@ -253,24 +256,15 @@ def _best_splice(
                 for y in g.out[x]:
                     if y in interior:
                         edges.append((x, y))
-            dist = graphalg.lex_dist_to(
-                g.n_vertices, edges, lambda s, t: game.cost(s, t, player), [w]
-            )
+            dist = graphalg.lex_dist_to(g.n_vertices, edges, weight, [w])
             if dist[v] is None or dist[v][0] >= segment_cost:
                 continue
-            delta = dist[v][0] - segment_cost
-            key = (delta, a, b)
+            key = (dist[v][0] - segment_cost, a, b)
             if best is None or key < best[0]:
                 adj = graphalg.out_adjacency(g.n_vertices, edges)
-                splice = graphalg.canonical_path(
-                    v, adj, lambda s, t: game.cost(s, t, player), dist
-                )
+                splice = graphalg.canonical_path(v, adj, weight, dist)
                 best = (key, path[:a] + splice + path[b + 1 :])
     return best[1] if best else None
-
-
-def _revlex_smaller(new: tuple[Fraction, ...], old: tuple[Fraction, ...]) -> bool:
-    return tuple(reversed(new)) < tuple(reversed(old))
 
 
 def make_special(game: SPGame, dec: ComponentDecomposition, start_path: SpecialPath) -> SpecialPath:
@@ -297,10 +291,11 @@ def make_special(game: SPGame, dec: ComponentDecomposition, start_path: SpecialP
                 # Improvements decompose into single splices; fall back to
                 # the full relaxation optimum if that ever fails to hold.
                 candidate = graphalg.canonical_path(
-                    sp.vertices[0], gip_adj, lambda u, v: game.cost(u, v, player), gip_dist
+                    sp.vertices[0], gip_adj, game._int_weight(player), gip_dist
                 )
             new_sp = _make_special_path(game, dec, candidate)
-            if new_sp.q != sp.q or not _revlex_smaller(new_sp.r_vector, sp.r_vector):
+            # the measure must shrink in reverse-lexicographic order
+            if new_sp.q != sp.q or not new_sp.r_vector[::-1] < sp.r_vector[::-1]:
                 raise MeasureNotDecreased(
                     f"improvement for player {player} did not shrink the measure"
                 )
@@ -327,7 +322,7 @@ def extend_to_situation(
     path = sp.vertices
     choice: dict[int, int] = {v: w for v, w in zip(path, path[1:])}
     block_of_comp = {c: j for j, c in enumerate(sp.block_comp)}
-    entry_dist: dict[int, dict[int, Fraction]] = {}
+    entry_dist: dict[int, dict[int, int]] = {}
     for v in g.nonterminals:
         if v in choice:
             continue

@@ -54,6 +54,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("cost", ["3/-4", "3/0", "\u00b2", "", "/", True, 1.5, None])
+def test_malformed_cost_exit_code(capsys, tmp_path, cost):
+    data = gamefiles.game_to_dict(BUNDLED["g6s"]())
+    data["edges"][0]["costs"][0] = cost
+    path = tmp_path / "bad-cost.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not a rational" in err or "is not exact" in err
+
+
 def test_oracle_ne_fig1(capsys, example_file):
     code, out, _ = run(capsys, "oracle", "ne", example_file("fig1-pm"))
     assert code == 0

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,89 @@ def test_parse_rational(value, expected):
 def test_parse_rational_rejects(value):
     with pytest.raises(GameFormatError):
         parse_rational(value)
+
+
+def _fraction_parser(value):
+    """The loader's rule before its fast path: Fraction's own string parser."""
+    if isinstance(value, bool):
+        raise GameFormatError(f"not a rational: {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GameFormatError(f"not a rational: {value!r}") from exc
+    if isinstance(value, float):
+        raise GameFormatError(
+            f"float {value!r} is not exact; write it as a string like \"1/100\""
+        )
+    raise GameFormatError(f"not a rational: {value!r}")
+
+
+def _outcome(parse, value):
+    try:
+        q = parse(value)
+    except GameFormatError as exc:
+        return "error", str(exc)
+    assert type(q) is Fraction
+    return "value", q
+
+
+@pytest.mark.parametrize("value,expected", [
+    ("7", Fraction(7)),
+    ("-3/4", Fraction(-3, 4)),
+    ("0.01", Fraction(1, 100)),
+    (" 5", Fraction(5)),
+    ("+3", Fraction(3)),
+    ("5_0", Fraction(50)),
+    ("3/-4", None),
+    ("3/ 4", None),
+    ("1e3", Fraction(1000)),
+    ("3/0", None),
+    ("\u00b2", None),  # superscript two: a digit to str.isdigit, not to Fraction
+    ("\u0661\u0662", Fraction(12)),  # Arabic-Indic digits
+    ("", None),
+    ("/", None),
+    (True, None),
+    (1.5, None),
+    (None, None),
+    ("-0", Fraction(0)),
+    ("007/010", Fraction(7, 10)),
+    ("-", None),
+    ("--3", None),
+    ("3/", None),
+    ("/4", None),
+    ("-3/-4", None),
+    ("0/0", None),
+    (" 3/4 ", Fraction(3, 4)),
+    ("12345678901234567890/3", Fraction(4115226300411522630)),
+])
+def test_parse_rational_edge_cases(value, expected):
+    outcome = _outcome(parse_rational, value)
+    assert outcome == _outcome(_fraction_parser, value)
+    if expected is None:
+        assert outcome[0] == "error"
+    else:
+        assert outcome == ("value", expected)
+
+
+def test_parse_rational_matches_fraction_parser():
+    rng = random.Random(11)
+    alphabet = "0123456789-/+._ e"
+    values = []
+    for _ in range(4000):
+        values.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 6))))
+        num = str(rng.randint(-10**6, 10**6))
+        den = rng.choice(["1", "7", "100", "0", "000", "0012", str(rng.randint(1, 10**9))])
+        values.append(f"{num}/{den}")
+        values.append(num)
+    parsed = 0
+    for value in values:
+        outcome = _outcome(parse_rational, value)
+        assert outcome == _outcome(_fraction_parser, value), value
+        parsed += outcome[0] == "value"
+    assert parsed >= 6000
 
 
 def test_format_rational_roundtrip():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -51,6 +52,22 @@ def nonnegative_digraphs(rng, count):
         yield n, [], {}
 
 
+def int_weights(weights):
+    """The kernels' integer weight for a table of exact weights, and its scale.
+
+    Every weight is multiplied by the LCM of the denominators, so an
+    integer result r stands for Fraction(r, scale).
+    """
+    scale = math.lcm(*(Fraction(w).denominator for w in weights.values()))
+    ints = {e: int(w * scale) for e, w in weights.items()}
+    return (lambda u, v: ints[(u, v)]), scale
+
+
+def unscaled(table, scale):
+    """A kernel's integer distance table in the caller's units."""
+    return [None if d is None else (Fraction(d[0], scale), d[1]) for d in table]
+
+
 def test_scc_matches_naive():
     rng = random.Random(1)
     for _ in range(60):
@@ -63,7 +80,10 @@ def test_min_cycle_mean_against_brute_force():
     rng = random.Random(2)
     for n, edges, weights in weighted_digraphs(rng, 60):
         weight = lambda u, v: weights[(u, v)]
-        mean, cycle = graphalg.min_cycle_mean(n, edges, weight)
+        iweight, scale = int_weights(weights)
+        mean, cycle = graphalg.min_cycle_mean(n, edges, iweight)
+        if mean is not None:
+            mean /= scale
         assert (mean, cycle) == fraction_kernels.min_cycle_mean(n, edges, weight)
         cycles = genutil.simple_cycles(n, edges)
         if not cycles:
@@ -87,7 +107,8 @@ def test_lex_dist_matches_plain_dijkstra():
         weights = {e: Fraction(rng.randint(0, 9)) for e in edges}
         weight = lambda u, v: weights[(u, v)]
         target = rng.randrange(n)
-        dist = graphalg.lex_dist_to(n, edges, weight, [target])
+        iweight, scale = int_weights(weights)
+        dist = unscaled(graphalg.lex_dist_to(n, edges, iweight, [target]), scale)
         for v in range(n):
             plain = genutil.dijkstra_cost(n, edges, weight, v, [target])
             if plain is None:
@@ -102,23 +123,28 @@ def test_lex_dist_matches_fraction_reference():
     for n, edges, weights in nonnegative_digraphs(rng, 60):
         weight = lambda u, v: weights[(u, v)]
         back = lambda u, v: weights[(v, u)]
+        iweight, scale = int_weights(weights)
+        iback = lambda u, v: iweight(v, u)
         adj = graphalg.out_adjacency(n, edges)
         radj = graphalg.in_adjacency(n, edges)
         for k in (0, 1, 1, 2, 3):
             seeds = rng.sample(range(n), min(k, n))
-            to = graphalg.lex_dist_to(n, edges, weight, seeds)
-            frm = graphalg.lex_dist_from(n, edges, weight, seeds)
+            to = graphalg.lex_dist_to(n, edges, iweight, seeds)
+            frm = graphalg.lex_dist_from(n, edges, iweight, seeds)
             ref_to = fraction_kernels.lex_dist_to(n, edges, weight, seeds)
             ref_from = fraction_kernels.lex_dist_from(n, edges, weight, seeds)
-            assert to == ref_to and frm == ref_from
+            assert unscaled(to, scale) == ref_to and unscaled(frm, scale) == ref_from
             for v in range(n):
-                for table, ref, a, w in ((to, ref_to, adj, weight), (frm, ref_from, radj, back)):
+                for table, ref, a, iw, w in (
+                    (to, ref_to, adj, iweight, weight),
+                    (frm, ref_from, radj, iback, back),
+                ):
                     if table[v] is None:
                         continue
                     reached += 1
-                    assert type(table[v][0]) is Fraction
+                    assert type(table[v][0]) is int
                     # a from-table is a to-table of the reversed graph
-                    path = graphalg.canonical_path(v, a, w, table)
+                    path = graphalg.canonical_path(v, a, iw, table)
                     assert path == graphalg.canonical_path(v, a, w, ref)
                     assert path[-1] in seeds
     assert reached >= 2000
@@ -128,10 +154,12 @@ def test_lex_dist_rejects_negative_weight():
     # the first negative edge in sorted order is named, in both directions,
     # also when the seeds cannot reach it
     weights = {(0, 1): 1, (1, 2): Fraction(-1, 3), (2, 0): -2, (3, 3): 0}
-    weight = lambda u, v: weights[(u, v)]
-    for kernel in (
-        graphalg.lex_dist_to, graphalg.lex_dist_from,
-        fraction_kernels.lex_dist_to, fraction_kernels.lex_dist_from,
+    iweight, _ = int_weights(weights)
+    for kernel, weight in (
+        (graphalg.lex_dist_to, iweight),
+        (graphalg.lex_dist_from, iweight),
+        (fraction_kernels.lex_dist_to, lambda u, v: weights[(u, v)]),
+        (fraction_kernels.lex_dist_from, lambda u, v: weights[(u, v)]),
     ):
         for seeds in ([0], [3], []):
             with pytest.raises(ValueError, match=r"^negative weight on edge \(1, 2\)$"):
@@ -145,7 +173,7 @@ def test_canonical_path_is_optimal_and_deterministic():
     for _ in range(40):
         n, edges = random_digraph(rng)
         weights = {e: Fraction(rng.randint(0, 6)) for e in edges}
-        weight = lambda u, v: weights[(u, v)]
+        weight, _ = int_weights(weights)
         target = rng.randrange(n)
         dist = graphalg.lex_dist_to(n, edges, weight, [target])
         adj = graphalg.out_adjacency(n, edges)
@@ -165,16 +193,18 @@ def test_bellman_ford_potentials_relax_all_edges():
     rng = random.Random(5)
     for n, edges, weights in weighted_digraphs(rng, 40):
         weight = lambda u, v: weights[(u, v)]
+        iweight, scale = int_weights(weights)
         try:
             expected = fraction_kernels.bellman_ford_potentials(n, edges, weight)
         except AssertionError:
             with pytest.raises(AssertionError, match="negative cycle"):
-                graphalg.bellman_ford_potentials(n, edges, weight)
+                graphalg.bellman_ford_potentials(n, edges, iweight)
             continue
-        pot = graphalg.bellman_ford_potentials(n, edges, weight)
-        assert pot == expected
+        pot = graphalg.bellman_ford_potentials(n, edges, iweight)
+        assert all(type(p) is int for p in pot)
+        assert [Fraction(p, scale) for p in pot] == expected
         for u, v in edges:
-            assert pot[u] + weight(u, v) >= pot[v]
+            assert pot[u] + iweight(u, v) >= pot[v]
 
 
 def test_reachable_to():

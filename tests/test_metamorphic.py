@@ -1,0 +1,96 @@
+"""Metamorphic properties of the Theorem-1 solver, checked with hypothesis.
+
+Every comparison the solver makes is between sums of one player's costs,
+so scaling all costs by one positive number must leave its output exactly
+as it is. Scaling each player's costs separately, or shifting them by a
+potential that is zero on the only terminal, changes the output but not
+the set of equilibria, so the result must still certify on the input game.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from pathgames import oracle  # noqa: E402
+from pathgames.model import SPGame, sp_game  # noqa: E402
+from pathgames.spne import solve_theorem1  # noqa: E402
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
+
+positive_rationals = st.fractions(
+    min_value=Fraction(1, 12), max_value=10, max_denominator=12
+)
+
+
+@st.composite
+def symmetric_positive_games(draw, max_terminals=3):
+    """Edge-symmetric SP games with rational costs in [1/12, 10]."""
+    n_players = draw(st.integers(1, 3))
+    n_pos = draw(st.integers(2, 9))
+    n_term = draw(st.integers(1, max_terminals))
+    owners = draw(st.lists(st.integers(1, n_players), min_size=n_pos, max_size=n_pos))
+    all_pairs = [(u, v) for u in range(n_pos) for v in range(u + 1, n_pos)]
+    pairs = draw(st.sets(st.sampled_from(all_pairs)))
+    exits = draw(st.sets(st.tuples(
+        st.integers(0, n_pos - 1), st.integers(n_pos, n_pos + n_term - 1)
+    )))
+    edges = set(exits) | set(pairs) | {(v, u) for u, v in pairs}
+    for u in range(n_pos):
+        if not any(e[0] == u for e in edges):
+            edges.add((u, n_pos))
+    cost = {
+        e: tuple(draw(positive_rationals) for _ in range(n_players))
+        for e in sorted(edges)
+    }
+    initial = draw(st.integers(0, n_pos - 1))
+    return sp_game(owners + [None] * n_term, cost, n_players, initial=initial)
+
+
+def _recost(game: SPGame, cost) -> SPGame:
+    g = game.graph
+    return sp_game(
+        g.owner,
+        {(u, v): [cost(u, v, p) for p in g.players] for u, v in g.sorted_edges()},
+        g.n_players,
+        initial=g.initial,
+    )
+
+
+@SETTINGS
+@given(symmetric_positive_games(), positive_rationals)
+def test_uniform_scaling_keeps_the_solution(game, factor):
+    scaled = _recost(game, lambda u, v, p: game.cost(u, v, p) * factor)
+    assert solve_theorem1(scaled).moves == solve_theorem1(game).moves
+
+
+@SETTINGS
+@given(symmetric_positive_games(), st.lists(positive_rationals, min_size=3, max_size=3))
+def test_per_player_scaling_keeps_equilibria(game, factors):
+    scaled = _recost(game, lambda u, v, p: game.cost(u, v, p) * factors[p - 1])
+    assert oracle.verify_ne_sp(game, solve_theorem1(scaled)).ok
+
+
+@SETTINGS
+@given(
+    symmetric_positive_games(max_terminals=1),
+    st.lists(st.integers(-1000, 1000), min_size=27, max_size=27),
+)
+def test_potential_shift_keeps_equilibria(game, raw):
+    # a per-player potential, zero on the terminal; with one terminal every
+    # play from a start shifts by the same amount, so equilibria stay
+    g = game.graph
+    n = g.n_vertices
+    pot = [
+        [0 if g.is_terminal(v) else Fraction(raw[(p - 1) * 9 + v], 100) for v in range(n)]
+        for p in g.players
+    ]
+    shifted = _recost(
+        game, lambda u, v, p: game.cost(u, v, p) + pot[p - 1][u] - pot[p - 1][v]
+    )
+    assert oracle.verify_ne_sp(game, solve_theorem1(shifted, transform=True)).ok

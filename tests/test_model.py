@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import json
+import math
 import random
 from fractions import Fraction
 
 import genutil
-from pathgames import oracle
+from pathgames import fixtures, oracle
+from pathgames.gamefiles import game_from_dict, game_to_dict
 from pathgames.model import (
     ExtCost,
     GameGraph,
     MINUS_INF,
     PLUS_INF,
     Situation,
+    SPGame,
     is_edge_symmetric,
     is_positive,
     merge_terminals,
@@ -18,6 +22,7 @@ from pathgames.model import (
     terminal_game,
     validate,
 )
+from pathgames.reductions import gallai_transform
 
 
 def test_extcost_total_order():
@@ -252,3 +257,46 @@ def test_edge_symmetry_idempotent_under_reverse_completion():
             names=g.names,
         )
         assert is_edge_symmetric(graph2)
+
+
+def _assert_integer_table(game, lcm_scale=True):
+    """The game's integer table is every cost times one positive scale."""
+    g = game.graph
+    scale, rows = game._int_costs
+    assert type(scale) is int and scale > 0
+    if lcm_scale:
+        assert scale == math.lcm(*(c.denominator for cs in game.edge_cost.values() for c in cs))
+    assert len(rows) == g.n_players
+    for player in g.players:
+        row = rows[player - 1]
+        assert set(row) == set(g.edge_set)
+        for u, v in g.edge_set:
+            assert type(row[(u, v)]) is int
+            assert row[(u, v)] == game.cost(u, v, player) * scale
+            assert game._int_weight(player)(u, v) == row[(u, v)]
+    # built once per game object
+    assert game._int_costs is game._int_costs
+
+
+def test_integer_table_is_costs_times_scale():
+    rng = random.Random(73)
+    games = [fixtures.BUNDLED[name]() for name in sorted(fixtures.BUNDLED)]
+    games = [g for g in games if isinstance(g, SPGame)]
+    for _ in range(40):
+        games.append(genutil.random_symmetric_positive_sp(rng, max_v=10))
+        games.append(genutil.random_positive_cycle_sp(rng, max_v=8))
+    games.append(sp_game([1, 2, None], {(0, 1): (0, 3), (1, 0): (2, 1), (1, 2): (5, 7)}, 2))
+    loaded = [game_from_dict(json.loads(json.dumps(game_to_dict(g)))) for g in games]
+    transformed = 0
+    for game in games + loaded:
+        _assert_integer_table(game)
+        if game.graph.terminals:
+            # the merged game carries the input game's scale over
+            merged, _ = merge_terminals(game)
+            assert merged._int_costs[0] == game._int_costs[0]
+            _assert_integer_table(merged, lcm_scale=False)
+        if is_positive(game).cycle_positive:
+            result = gallai_transform(game)
+            _assert_integer_table(result.game)
+            transformed += result.game is not game
+    assert transformed >= 40

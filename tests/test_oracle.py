@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 import genutil
 from pathgames import oracle
 from pathgames.errors import TooLarge
-from pathgames.model import Situation, sp_game
+from pathgames.model import ExtCost, Situation, sp_game
 from pathgames.play import trace
 
 INF = "+inf"
@@ -205,3 +206,18 @@ def test_counterexamples_have_ne_from_every_start_but_no_une(g2, g3s):
         for start in game.graph.nonterminals:
             assert oracle.find_all_ne(game, start=start)
         assert oracle.find_all_une(game) == []
+
+
+def test_verify_ne_sp_reports_the_exact_deviation_cost():
+    # the polynomial route compares scaled integers but reports rationals
+    game = sp_game(
+        [1, 1, None],
+        {(0, 2): (Fraction(5, 2),), (0, 1): (Fraction(1, 3),), (1, 2): (Fraction(1, 4),)},
+        n_players=1,
+        initial=0,
+    )
+    report = oracle.verify_ne_sp(game, Situation.of(game.graph, {0: 2, 1: 2}))
+    assert not report.ok
+    assert report.note == "player 1 can reach a terminal at cost 7/12"
+    assert oracle.cost_vector(game, report.deviation, 0) == (ExtCost.finite(Fraction(7, 12)),)
+    assert oracle.verify_ne_sp(game, report.deviation).ok

@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 
 import pytest
 
 import genutil
+import pathgames
 from pathgames import graphalg, oracle
 from pathgames.errors import NotPositive, NotSymmetric, Unreachable
 from pathgames.model import (
+    SPGame,
     Situation,
     is_positive,
     lowest_id_situation,
@@ -470,6 +476,97 @@ def test_theorem1_runs_at_most_one_cycle_pass(monkeypatch):
     )
     solve_theorem1(game, transform=True)
     assert len(calls) == game.graph.n_players
+
+
+def test_theorem1_scales_each_game_once(monkeypatch):
+    # No kernel rescales costs per call: each game object builds one
+    # integer table, and the merged game takes the input game's.
+    assert not hasattr(graphalg, "_scaled")
+    prop = SPGame.__dict__["_int_costs"]
+    real = prop.func
+    builds = []
+
+    def counting(game):
+        builds.append(game)
+        return real(game)
+
+    monkeypatch.setattr(prop, "func", counting)
+    rng = random.Random(71)
+    for _ in range(10):
+        game = genutil.random_symmetric_positive_sp(rng, max_v=8)
+        builds.clear()
+        solve_theorem1(game)
+        assert 1 <= len(builds) <= 2
+        assert len({id(g) for g in builds}) == len(builds)
+    game = sp_game(
+        [1, 2, None],
+        {(0, 1): (-1, 2, -2), (1, 0): (3, 1, 5), (0, 2): (1, 1, 1), (1, 2): (2, 2, 2)},
+        n_players=3,
+        initial=0,
+    )
+    builds.clear()
+    solve_theorem1(game, transform=True)
+    assert 1 <= len(builds) <= 3
+
+
+def test_theorem1_checks_raise_under_dash_O():
+    # Internal checks of the Theorem-1 path must not be plain asserts,
+    # which -O strips.
+    code = textwrap.dedent(
+        """
+        import sys
+        from pathgames import graphalg, reductions, spne
+        from pathgames.errors import InternalCheckFailed
+        from pathgames.model import sp_game
+        from pathgames.spne import ComponentDecomposition, SpecialPath
+
+        one_way = sp_game([1, 1, None], {(0, 1): (1,), (1, 2): (1,)}, 1)
+        split = ComponentDecomposition((0, 0, 1), ((0, 1), (2,)), (1, None))
+        loop = sp_game([1, 1, None], {(0, 1): (1,), (1, 0): (1,), (1, 2): (5,)}, 1)
+        stuck = sp_game(
+            [1, 2, None], {(0, 1): (1, 1), (1, 0): (1, 1), (1, 2): (1, 1)}, 2
+        )
+        acyclic = sp_game([1, 1, None], {(0, 1): (-1,), (1, 2): (1,)}, 1)
+
+        def bad_blocks(game, dec, v0):
+            spne._make_special_path = lambda game, dec, path: SpecialPath(
+                tuple(path), (), (), ()
+            )
+            return spne.lambda_shortest(game, dec, v0)
+
+        def zero_potentials(game):
+            graphalg.bellman_ford_potentials = lambda n, edges, weight: [0] * n
+            return reductions.gallai_transform(game)
+
+        for run in (
+            lambda: graphalg.canonical_path(0, [[1], []], lambda u, v: 1, [(5, 1), (0, 0)]),
+            lambda: spne._entry_distances(one_way, split, 0, 1),
+            lambda: spne._speciality_gap(loop, SpecialPath((0, 1), (), (), ()), 1),
+            lambda: spne._speciality_gap(stuck, SpecialPath((0, 1), (), (), ()), 1),
+            lambda: bad_blocks(loop, spne.decompose(loop), 0),
+            lambda: zero_potentials(acyclic),
+        ):
+            try:
+                run()
+            except InternalCheckFailed as exc:
+                print(sys.flags.optimize, exc)
+        """
+    )
+    src = os.path.dirname(os.path.dirname(pathgames.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "1 inconsistent distance table",
+        "1 component is not strongly connected",
+        "1 path cost exceeds its own relaxation",
+        "1 path start cannot reach the terminal in its relaxation",
+        "1 block count disagrees with crossing distance",
+        "1 potential failed to make the edge positive",
+    ]
 
 
 @pytest.mark.xfail(

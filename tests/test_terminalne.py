@@ -5,7 +5,7 @@ import random
 import pytest
 
 import genutil
-from pathgames import graphalg, oracle, terminalne
+from pathgames import graphalg, oracle, reductions, terminalne
 from pathgames.errors import NotSymmetric, VerificationFailed
 from pathgames.model import Situation, lowest_id_situation, terminal_game
 from pathgames.play import terminal_cost, trace
@@ -206,3 +206,16 @@ def test_theorems_2_and_3_share_one_component_pass(monkeypatch):
         solve_theorem2(game)
         solve_theorem3(game)
         assert len(sccs) == 1
+
+
+def test_theorems_2_and_3_contract_once(monkeypatch):
+    # solve_theorem2 and une_preprocess share the game's one contraction
+    builds = genutil.count_calls(monkeypatch, reductions, "ContractionMap")
+    rng = random.Random(101)
+    for _ in range(10):
+        game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
+        builds.clear()
+        solve_theorem2(game)
+        solve_theorem3(game)
+        assert len(builds) == 1
+        assert contract_small_game(game) is contract_small_game(game)
