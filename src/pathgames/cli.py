@@ -14,6 +14,7 @@ from .errors import (
     GameFormatError,
     InternalCheckFailed,
     PathgamesError,
+    PreconditionError,
     TooLarge,
     ZeroSumMixedCycle,
 )
@@ -75,8 +76,16 @@ def _cmd_validate(args) -> int:
     return EXIT_PRECONDITION
 
 
+def _load_valid(path: str) -> Game:
+    """Load a game file that must pass `validate`; exits 3 with the violations."""
+    game = gamefiles.load_game(path)
+    if violations := validate(game):
+        raise PreconditionError("invalid game: " + "; ".join(violations))
+    return game
+
+
 def _cmd_solve(args) -> int:
-    game = gamefiles.load_game(args.file)
+    game = _load_valid(args.file)
     start = _resolve_vertex(game, args.start)
     if args.kind == "sp-ne":
         if not isinstance(game, SPGame):
@@ -107,7 +116,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    game = gamefiles.load_game(args.file)
+    game = _load_valid(args.file)
     start = _resolve_vertex(game, args.start)
     if args.kind == "normal-form":
         nf = oracle.normal_form(game, start)

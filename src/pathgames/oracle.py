@@ -229,20 +229,15 @@ def find_all_ne(game: Game, start: int | None = None, cap: int | None = None) ->
 def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
     """Situations that are Nash equilibria from every non-terminal start."""
     g = game.graph
-    surviving: set[tuple[int, ...]] | None = None
-    axes = None
+    if not g.nonterminals:
+        return [Situation.of(g, {})]  # the one situation; nobody can deviate
+    surviving = None
     for start in g.nonterminals:
         nf = normal_form(game, start, cap)
-        axes = nf.axes
-        if surviving is None:
-            surviving = set(nf.ne)
-        else:
-            surviving &= nf.ne
+        surviving = nf.ne if surviving is None else surviving & nf.ne
         if not surviving:
             return []
-    assert surviving is not None and axes is not None
-    dummy = NormalForm(start=g.nonterminals[0], axes=axes, cells={}, ne=frozenset())
-    found = [dummy.situation_at(index, g) for index in surviving]
+    found = [nf.situation_at(index, g) for index in surviving]
     return sorted(found, key=lambda s: s.moves)
 
 
@@ -306,7 +301,7 @@ def verify_ne_sp(
                     note=f"player {player} can reach a terminal at cost {cost}",
                 )
         return VerifyReport(True, start=start)
-    return _verify_ne_exhaustive(game, situation, start, cap)
+    return _verify_exhaustive(game, situation, start, cap)
 
 
 def verify_ne_terminal(
@@ -316,38 +311,32 @@ def verify_ne_terminal(
     cap: int | None = None,
 ) -> VerifyReport:
     start = _require_start(game, start)
-    return _verify_ne_exhaustive(game, situation, start, cap)
-
-
-def _verify_ne_exhaustive(game: Game, situation: Situation, start: int, cap) -> VerifyReport:
-    g = game.graph
-    base = trace(g, situation, start)
-    for player in g.players:
-        cur = effective_cost(game, base, player)
-        for strategy in player_strategies(g, player, cap):
-            deviated = situation.replace(strategy)
-            alt = effective_cost(game, trace(g, deviated, start), player)
-            if alt < cur:
-                return VerifyReport(
-                    False, player, start, deviated,
-                    note=f"player {player} improves {cur} -> {alt}",
-                )
-    return VerifyReport(True, start=start)
+    return _verify_exhaustive(game, situation, start, cap)
 
 
 def verify_une(game: Game, situation: Situation, cap: int | None = None) -> VerifyReport:
     """UNE check: exhaustive per-player deviations from every start."""
+    return _verify_exhaustive(game, situation, None, cap)
+
+
+def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap) -> VerifyReport:
+    """Exhaustive deviation check from ``start``, or from every start if None.
+
+    The witness is the first strict improvement in loop order.
+    """
     g = game.graph
+    starts = g.nonterminals if start is None else (start,)
+    base = {v: trace(g, situation, v) for v in starts}
     for player in g.players:
         strategies = player_strategies(g, player, cap)
-        for start in g.nonterminals:
-            cur = effective_cost(game, trace(g, situation, start), player)
+        for v in starts:
+            cur = effective_cost(game, base[v], player)
             for strategy in strategies:
                 deviated = situation.replace(strategy)
-                alt = effective_cost(game, trace(g, deviated, start), player)
+                alt = effective_cost(game, trace(g, deviated, v), player)
                 if alt < cur:
                     return VerifyReport(
-                        False, player, start, deviated,
-                        note=f"player {player} improves {cur} -> {alt} from {g.name(start)}",
+                        False, player, v, deviated,
+                        note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
                     )
-    return VerifyReport(True)
+    return VerifyReport(True, start=start)

@@ -43,7 +43,8 @@ class Play:
         return list(zip(verts, verts[1:]))
 
     def cycle_edges(self) -> list[tuple[int, int]]:
-        assert self.cycle is not None
+        if self.cycle is None:
+            raise InternalCheckFailed("a terminal play has no cycle")
         closed = list(self.cycle) + [self.cycle[0]]
         return list(zip(closed, closed[1:]))
 

@@ -3,8 +3,9 @@
 Contains the potential transform that makes positive-cycle games edge
 positive, the embedding of infinite-averse terminal games into positive
 shortest path games, the contraction of same-player strongly connected
-components with its situation lifting, and the preprocessing used by the
-uniform-equilibrium solver.
+components with its situation lifting, the preprocessing used by the
+uniform-equilibrium solver, and the one-player relaxations: for terminal
+games, their per-vertex value tables and the one equilibrium check on them.
 """
 
 from __future__ import annotations
@@ -12,10 +13,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import graphalg
-from .errors import CIWViolated, ConditionViolated, InternalCheckFailed, NonPositiveCycle
+from .errors import (
+    CIWViolated,
+    ConditionViolated,
+    InternalCheckFailed,
+    NonPositiveCycle,
+    VerificationFailed,
+)
 from .model import (
     GameGraph,
     SPGame,
@@ -25,6 +32,7 @@ from .model import (
     _edge_positive,
     is_edge_symmetric,
 )
+from .play import outcomes
 
 
 @dataclass(frozen=True)
@@ -156,6 +164,113 @@ def one_player_out(
         list(out) if owner == player else ([] if move is None else [move])
         for owner, out, move in zip(graph.owner, graph.out, fixed)
     ]
+
+
+@dataclass(frozen=True)
+class ResponseTables:
+    """Optimal one-player values plus routing layers for one player.
+
+    ``value[v]`` is the best effective cost player i can guarantee from v
+    against the fixed opponent moves (the infinite-play cost stands for
+    cycling). ``layer[v]`` is v's hop distance to the terminals of its value
+    class along optimal routes, or None when v's optimum is to cycle.
+    """
+
+    player: int
+    value: tuple[Fraction, ...]
+    layer: tuple[int | None, ...]
+
+
+def response_tables(game: TerminalGame, situation: Situation, player: int) -> ResponseTables:
+    """Per-vertex optima for one player against the other's fixed moves."""
+    g = game.graph
+    n = g.n_vertices
+    adj = one_player_out(g, player, situation.moves)
+    radj: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        for w in adj[v]:
+            radj[w].append(v)
+
+    # Peel vertices whose every move leads to peeled ones, terminals first.
+    # Every walk from a peeled vertex ends, so exactly the vertices left
+    # with moves can cycle.
+    left = [len(moves) for moves in adj]
+    todo = [v for v in range(n) if not left[v]]
+    while todo:
+        v = todo.pop()
+        for u in radj[v]:
+            left[u] -= 1
+            if not left[u]:
+                todo.append(u)
+
+    # Reachable-terminal optima as class indices, best class first; the
+    # breadth-first layers of each class double as its routing structure.
+    classes = sorted({game.cost_at(w, player) for w in g.terminals})
+    rank = {c: k for k, c in enumerate(classes)}
+    by_class: list[list[int]] = [[] for _ in classes]
+    for w in g.terminals:
+        by_class[rank[game.cost_at(w, player)]].append(w)
+    best_class = [-1] * n
+    layer: list[int | None] = [None] * n
+    for k, frontier in enumerate(by_class):
+        for w in frontier:
+            best_class[w] = k
+            layer[w] = 0
+        depth = 0
+        while frontier:
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for u in radj[v]:
+                    if best_class[u] < 0:
+                        best_class[u] = k
+                        layer[u] = depth
+                        nxt.append(u)
+            frontier = nxt
+
+    cycle_value = game.cycle_cost(player)
+    cycle_wins = [cycle_value < c for c in classes]
+    value: list[Fraction] = []
+    for v in range(n):
+        k = best_class[v]
+        if left[v] and (k < 0 or cycle_wins[k]):
+            value.append(cycle_value)
+            layer[v] = None  # optimal play is to cycle, not to take a route
+        elif k < 0:
+            # raised, not asserted: under -O, classes[-1] would pass silently
+            raise AssertionError(f"vertex {v} has neither a terminal route nor a cycle")
+        else:
+            value.append(classes[k])
+    return ResponseTables(player, tuple(value), tuple(layer))
+
+
+def _play_costs(game: TerminalGame, ends: list[int | None], player: int) -> list[Fraction]:
+    """The player's effective cost of the play from every start."""
+    cycle = game.cycle_cost(player)
+    return [cycle if t is None else game.cost_at(t, player) for t in ends]
+
+
+def _check_table_values(
+    game: TerminalGame,
+    situation: Situation,
+    tables: Iterable[ResponseTables],
+    starts: Sequence[int],
+) -> None:
+    """Raise VerificationFailed unless every play from ``starts`` is optimal.
+
+    Optimal means that the play costs each tabled player exactly the value
+    of their one-player relaxation at that start: a situation passes for one
+    start iff it is a NE from there, and for every start iff it is uniform.
+    """
+    ends = outcomes(game.graph, situation)
+    for t in tables:
+        got = _play_costs(game, ends, t.player)
+        for v in starts:
+            if got[v] != t.value[v]:
+                raise VerificationFailed(
+                    f"player {t.player} from vertex {v}: the play costs {got[v]}, "
+                    f"the one-player optimum is {t.value[v]}"
+                )
 
 
 @dataclass(frozen=True)

@@ -251,8 +251,6 @@ def _best_splice(
             interior = (comp_members - banned) | {w}
             edges = []
             for x in [v] + sorted(interior - {w}):
-                if g.owner[x] != player:
-                    continue
                 for y in g.out[x]:
                     if y in interior:
                         edges.append((x, y))

@@ -5,14 +5,14 @@ players (loops stand for internal cycling). On the contracted game a NE is
 built by a three-case analysis around the start vertex: lock an infinite
 2-cycle, route to a neighbor's preferred terminal with protective moves, or
 strip the start's own terminal moves and recurse. The result is lifted back
-and checked exactly, in polynomial time: for every player, the best value
-of their one-player relaxation at the start must not beat their cost.
+and checked exactly with the value tables of ``reductions``: every player's
+cost from the start must equal their one-player relaxation's optimum there.
 """
 
 from __future__ import annotations
 
 from . import graphalg
-from .errors import NotSymmetric, VerificationFailed
+from .errors import NotSymmetric
 from .model import (
     GameGraph,
     Situation,
@@ -21,12 +21,7 @@ from .model import (
     lowest_id_situation,
 )
 from .play import terminal_cost, trace
-from .reductions import contract_small_game, lift_situation
-from .une import response_tables
-
-
-def _base_choice(g: GameGraph) -> dict[int, int]:
-    return {v: g.out[v][0] for v in g.nonterminals}
+from .reductions import _check_table_values, contract_small_game, lift_situation, response_tables
 
 
 def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
@@ -39,9 +34,7 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
         # Case 3: argue about the game without v0's terminal moves.
         t0 = game.best_terminal(v0)
         if all(g.is_terminal(w) for w in g.out[v0]):
-            choice = _base_choice(g)
-            choice[v0] = t0
-            return Situation.of(g, choice)
+            return lowest_id_situation(g).replace({v0: t0})
         sub = game.restricted(g.edge_set.difference((v0, w) for w in own_terminals))
         inner = _solve_contracted(sub, v0)
         me = g.owner[v0]
@@ -52,19 +45,11 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
 
     neighbors = [v for v in g.out[v0]]  # all non-terminal here
     dead_ends = [v for v in neighbors if game.best_terminal(v) is None]
-    choice = _base_choice(g)
+    choice = dict(lowest_id_situation(g).items())
     if dead_ends:
         # Case 1: lock the infinite 2-cycle v0 <-> v1; nobody on it can
         # reach a terminal, so nobody involved can do better.
-        v1 = min(dead_ends)
-        for x in neighbors:
-            if x != v0:
-                choice[x] = v0
-        for y in g.out[v1]:
-            if y not in (v0, v1) and y not in neighbors and not g.is_terminal(y):
-                choice[y] = v1
-        choice[v0] = v1
-        return Situation.of(g, choice)
+        return _lock_two_cycle(g, choice, v0, min(dead_ends))
 
     # Case 2: every neighbor has a terminal move; aim for the one whose
     # preferred terminal suits v0's controller best.
@@ -88,6 +73,12 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
 
     # Subcase 2.2: v1's controller weakly prefers cycling, so lock the
     # 2-cycle v0 <-> v1.
+    return _lock_two_cycle(g, choice, v0, v1)
+
+
+def _lock_two_cycle(g: GameGraph, choice: dict[int, int], v0: int, v1: int) -> Situation:
+    """Lock v0 <-> v1: v0's other neighbors point to v0, v1's other non-terminal ones to v1."""
+    neighbors = g.out[v0]
     for x in neighbors:
         if x != v0:
             choice[x] = v0
@@ -96,18 +87,6 @@ def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
             choice[y] = v1
     choice[v0] = v1
     return Situation.of(g, choice)
-
-
-def _value_table_ne_check(game: TerminalGame, situation: Situation, start: int) -> None:
-    """Exact NE check via per-player one-player optima, no enumeration."""
-    g = game.graph
-    for player in g.players:
-        current = terminal_cost(game, trace(g, situation, start), player)
-        best = response_tables(game, situation, player).value[start]
-        if best < current:
-            raise VerificationFailed(
-                f"player {player} could achieve {best} instead of {current}"
-            )
 
 
 def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
@@ -130,6 +109,7 @@ def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
     small, cmap = contract_small_game(game)
     inner = _solve_contracted(small, cmap.component[start])
     situation = lift_situation(inner, cmap)
-    _value_table_ne_check(game, situation, start)
+    tables = (response_tables(game, situation, p) for p in g.players)
+    _check_table_values(game, situation, tables, [start])
     return situation
 

@@ -6,7 +6,7 @@ every play is finite and every terminal-adjacent vertex takes its terminal
 move, then lets the players alternate uniform best improvements. A sum of
 per-vertex values acts as the termination potential: it ranges over finitely
 many integers once costs are normalized and strictly decreases from the
-second improvement on.
+second improvement on. The value tables and their check live in ``reductions``.
 """
 
 from __future__ import annotations
@@ -22,85 +22,14 @@ from .errors import (
 )
 from .model import Situation, TerminalGame
 from .play import outcomes
-from .reductions import UnePrep, one_player_out, une_preprocess
-
-
-@dataclass(frozen=True)
-class ResponseTables:
-    """Optimal one-player values plus routing layers for one player.
-
-    ``value[v]`` is the best effective cost player i can guarantee from v
-    against the fixed opponent moves (the infinite-play cost stands for
-    cycling). ``layer[v]`` is v's hop distance to the terminals of its value
-    class along optimal routes, or None when v's optimum is to cycle.
-    """
-
-    player: int
-    value: tuple[Fraction, ...]
-    layer: tuple[int | None, ...]
-
-
-def response_tables(game: TerminalGame, situation: Situation, player: int) -> ResponseTables:
-    """Per-vertex optima for one player against the other's fixed moves."""
-    g = game.graph
-    n = g.n_vertices
-    adj = one_player_out(g, player, situation.moves)
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in adj[v]:
-            radj[w].append(v)
-
-    # Peel vertices whose every move leads to peeled ones, terminals first.
-    # Every walk from a peeled vertex ends, so exactly the vertices left
-    # with moves can cycle.
-    left = [len(moves) for moves in adj]
-    todo = [v for v in range(n) if not left[v]]
-    while todo:
-        v = todo.pop()
-        for u in radj[v]:
-            left[u] -= 1
-            if not left[u]:
-                todo.append(u)
-
-    # Reachable-terminal optima as class indices, best class first; the
-    # breadth-first layers of each class double as its routing structure.
-    classes = sorted({game.cost_at(w, player) for w in g.terminals})
-    rank = {c: k for k, c in enumerate(classes)}
-    by_class: list[list[int]] = [[] for _ in classes]
-    for w in g.terminals:
-        by_class[rank[game.cost_at(w, player)]].append(w)
-    best_class = [-1] * n
-    layer: list[int | None] = [None] * n
-    for k, frontier in enumerate(by_class):
-        for w in frontier:
-            best_class[w] = k
-            layer[w] = 0
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for u in radj[v]:
-                    if best_class[u] < 0:
-                        best_class[u] = k
-                        layer[u] = depth
-                        nxt.append(u)
-            frontier = nxt
-
-    cycle_value = game.cycle_cost(player)
-    cycle_wins = [cycle_value < c for c in classes]
-    value: list[Fraction] = []
-    for v in range(n):
-        k = best_class[v]
-        if left[v] and (k < 0 or cycle_wins[k]):
-            value.append(cycle_value)
-            layer[v] = None  # optimal play is to cycle, not to take a route
-        elif k < 0:
-            # raised, not asserted: under -O, classes[-1] would pass silently
-            raise AssertionError(f"vertex {v} has neither a terminal route nor a cycle")
-        else:
-            value.append(classes[k])
-    return ResponseTables(player, tuple(value), tuple(layer))
+from .reductions import (
+    ResponseTables,
+    UnePrep,
+    _check_table_values,
+    _play_costs,
+    response_tables,
+    une_preprocess,
+)
 
 
 def _assemble_strategy(
@@ -153,14 +82,8 @@ def uniform_best_response(
     tables = response_tables(game, situation, player)
     strategy = _assemble_strategy(game, situation, tables)
     combined = situation.replace(strategy)
-    _verify_values(game, combined, tables)
+    _check_table_values(game, combined, [tables], game.graph.nonterminals)
     return strategy, tables.value
-
-
-def _costs(game: TerminalGame, ends: list[int | None], player: int) -> list[Fraction]:
-    """The player's effective cost of the play from every start."""
-    cycle = game.cycle_cost(player)
-    return [cycle if t is None else game.cost_at(t, player) for t in ends]
 
 
 def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[Fraction]:
@@ -171,16 +94,6 @@ def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[Fraction]:
         else game.cost_at(ends[v], g.owner[v])
         for v in g.nonterminals
     ]
-
-
-def _verify_values(game: TerminalGame, situation: Situation, tables: ResponseTables) -> None:
-    got_at = _costs(game, outcomes(game.graph, situation), tables.player)
-    for v, got in enumerate(got_at):
-        if got != tables.value[v]:
-            raise VerificationFailed(
-                f"player {tables.player} value at vertex {v}: "
-                f"built strategy yields {got}, optimum is {tables.value[v]}"
-            )
 
 
 def uniform_best_improvement(
@@ -196,7 +109,7 @@ def uniform_best_improvement(
     """
     g = game.graph
     tables = response_tables(game, situation, player)
-    current = _costs(game, outcomes(g, situation), player)
+    current = _play_costs(game, outcomes(g, situation), player)
     if all(c == best for c, best in zip(current, tables.value)):
         return None
     keep = frozenset(
@@ -205,7 +118,7 @@ def uniform_best_improvement(
     )
     strategy = _assemble_strategy(game, situation, tables, keep_at=keep)
     improved = situation.replace(strategy)
-    _verify_values(game, improved, tables)
+    _check_table_values(game, improved, [tables], g.nonterminals)
     for v in g.nonterminals:
         if g.owner[v] == player and improved[v] != situation[v]:
             if not tables.value[v] < current[v]:
@@ -360,15 +273,8 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         player = 3 - player
 
     lifted = prep.lift(sigma)
-    lifted_ends = outcomes(game.graph, lifted)
-    for p in game.graph.players:
-        tables = response_tables(game, lifted, p)
-        for v, got in enumerate(_costs(game, lifted_ends, p)):
-            if got != tables.value[v]:
-                raise VerificationFailed(
-                    f"lifted situation is not a uniform best response for "
-                    f"player {p} at vertex {v}: {got} vs {tables.value[v]}"
-                )
+    tables = (response_tables(game, lifted, p) for p in g.players)
+    _check_table_values(game, lifted, tables, g.nonterminals)
     return UneSolve(
         situation=lifted,
         prep=prep,

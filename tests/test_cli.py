@@ -190,3 +190,78 @@ def test_fixture_files_roundtrip_through_cli(tmp_path, capsys):
         first = path.read_text()
         reparsed = gamefiles.load_game(str(path))
         assert gamefiles.dump_game(reparsed) == first
+
+
+def _chain_dict(**changes):
+    data = gamefiles.game_to_dict(BUNDLED["chain"]())
+    data.update(changes)
+    return data
+
+
+_SP_LOOP = {
+    "players": 1,
+    "vertices": [{"id": 0, "name": "s", "owner": 1},
+                 {"id": 1, "name": "t", "owner": "T"}],
+    "edges": [{"from": 0, "to": 0, "costs": ["1"]},
+              {"from": 0, "to": 1, "costs": ["1"]}],
+    "initial": 0,
+}
+_SP_STUCK = {
+    "players": 1,
+    "vertices": [{"id": 0, "name": "s", "owner": 1},
+                 {"id": 1, "name": "u", "owner": 1},
+                 {"id": 2, "name": "t", "owner": "T"}],
+    "edges": [{"from": 0, "to": 2, "costs": ["1"]}],
+    "initial": 0,
+}
+_STUCK_VERTEX = {"id": 3, "name": "x", "owner": 2}
+_CHAIN_EDGES = [{"from": 0, "to": 1}, {"from": 1, "to": 0}, {"from": 1, "to": 2}]
+
+
+@pytest.mark.parametrize(
+    "data, argv, violation",
+    [
+        (_chain_dict(terminal_costs={}), ("solve", "terminal-ne"), "terminal 2 (t) has no cost"),
+        (_chain_dict(terminal_costs={}), ("oracle", "ne"), "terminal 2 (t) has no cost"),
+        (_chain_dict(terminal_costs={}), ("oracle", "une"), "terminal 2 (t) has no cost"),
+        (_chain_dict(vertices=_chain_dict()["vertices"] + [_STUCK_VERTEX]),
+         ("solve", "terminal-ne"), "vertex 3 (x) has no outgoing edge"),
+        (_chain_dict(vertices=_chain_dict()["vertices"] + [_STUCK_VERTEX]),
+         ("solve", "une"), "vertex 3 (x) has no outgoing edge"),
+        (_SP_STUCK, ("solve", "sp-ne"), "vertex 1 (u) has no outgoing edge"),
+        (_chain_dict(edges=_CHAIN_EDGES + [{"from": 1, "to": 2}]),
+         ("solve", "une"), "parallel edge (1, 2)"),
+        (_chain_dict(edges=_CHAIN_EDGES + [{"from": 1, "to": 2}]),
+         ("oracle", "une"), "parallel edge (1, 2)"),
+        (_SP_LOOP, ("solve", "sp-ne"), "self-loop (0, 0)"),
+        (_SP_LOOP, ("oracle", "ne"), "self-loop (0, 0)"),
+    ],
+    ids=[
+        "no-cost-solve", "no-cost-oracle-ne", "no-cost-oracle-une", "stuck-terminal-ne",
+        "stuck-une", "stuck-sp-ne", "parallel-une", "parallel-oracle-une",
+        "sp-loop-sp-ne", "sp-loop-oracle-ne",
+    ],
+)
+def test_solve_and_oracle_reject_invalid_games(capsys, tmp_path, data, argv, violation):
+    # solving any of these would crash or accept a malformed game
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: invalid game: ") and violation in err
+
+
+def test_oracle_une_on_an_all_terminal_game(capsys, tmp_path):
+    data = {
+        "players": 2,
+        "vertices": [{"id": 0, "name": "t", "owner": "T"}],
+        "edges": [],
+        "terminal_costs": {"0": ["-1", "-1"]},
+        "infinite_costs": ["0", "0"],
+    }
+    path = tmp_path / "terminals.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "oracle", "une", str(path))
+    assert code == 0
+    assert out == "1 UNE found\n\n"

@@ -8,8 +8,9 @@ import pytest
 import genutil
 from pathgames import oracle
 from pathgames.errors import TooLarge
-from pathgames.model import ExtCost, Situation, sp_game
+from pathgames.model import ExtCost, Situation, sp_game, terminal_game
 from pathgames.play import trace
+from pathgames.une import solve_theorem3
 
 INF = "+inf"
 NEG = "-inf"
@@ -221,3 +222,24 @@ def test_verify_ne_sp_reports_the_exact_deviation_cost():
     assert report.note == "player 1 can reach a terminal at cost 7/12"
     assert oracle.cost_vector(game, report.deviation, 0) == (ExtCost.finite(Fraction(7, 12)),)
     assert oracle.verify_ne_sp(game, report.deviation).ok
+
+
+def test_find_all_une_returns_the_uniform_equilibria(chain):
+    # Theorem 3 guarantees a UNE on these games, so the result is non-empty
+    rng = random.Random(19)
+    games = [chain] + [
+        genutil.random_symmetric_terminal(rng, max_v=6, ciw=True) for _ in range(40)
+    ]
+    for game in games:
+        found = oracle.find_all_une(game)
+        assert solve_theorem3(game).situation in found, game
+        for situation in found:
+            assert oracle.verify_une(game, situation).ok, (game, situation)
+    assert [s.describe(chain.graph) for s in oracle.find_all_une(chain)] == ["v1->v2 v2->t"]
+
+
+def test_find_all_une_on_an_all_terminal_game():
+    game = terminal_game([None, None], [], {0: (-1, -2), 1: (-2, -1)}, n_players=2)
+    found = oracle.find_all_une(game)
+    assert found == [Situation((None, None))]
+    assert oracle.verify_une(game, found[0]).ok

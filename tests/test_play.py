@@ -207,8 +207,10 @@ def test_internal_checks_raise_under_dash_O():
             [1, 2, None], [(0, 1), (1, 0), (1, 2)], {2: (-1, -1)}, n_players=2
         )
         broken = Situation((1, None, None))
+        exits = Situation((1, 2, None))
         for run in (lambda: outcomes(game.graph, broken),
-                    lambda: trace(game.graph, broken, 0)):
+                    lambda: trace(game.graph, broken, 0),
+                    lambda: trace(game.graph, exits, 0).cycle_edges()):
             try:
                 run()
             except InternalCheckFailed as exc:
@@ -229,5 +231,6 @@ def test_internal_checks_raise_under_dash_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["1 situation has no move at vertex 1"] * 2 + [
-        "1 vertex 0 has neither a terminal route nor a cycle"
+        "1 a terminal play has no cycle",
+        "1 vertex 0 has neither a terminal route nor a cycle",
     ]

@@ -9,9 +9,15 @@ from pathgames import graphalg, oracle, reductions, terminalne
 from pathgames.errors import NotSymmetric, VerificationFailed
 from pathgames.model import Situation, lowest_id_situation, terminal_game
 from pathgames.play import terminal_cost, trace
-from pathgames.reductions import contract_small_game, lift_situation, terminal_to_sp
+from pathgames.reductions import (
+    _check_table_values,
+    contract_small_game,
+    lift_situation,
+    response_tables,
+    terminal_to_sp,
+)
 from pathgames.spne import solve_theorem1
-from pathgames.terminalne import _value_table_ne_check, solve_theorem2
+from pathgames.terminalne import solve_theorem2
 from pathgames.une import solve_theorem3
 
 
@@ -177,8 +183,9 @@ def test_value_table_check_agrees_with_exhaustive_oracle():
         situation = lift_situation(inner, cmap)
         for start in game.graph.nonterminals:
             is_ne = oracle.verify_ne_terminal(game, situation, start).ok
+            tables = [response_tables(game, situation, p) for p in game.graph.players]
             try:
-                _value_table_ne_check(game, situation, start)
+                _check_table_values(game, situation, tables, [start])
                 passed = True
             except VerificationFailed:
                 passed = False
