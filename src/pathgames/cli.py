@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 parse or usage error, 3 violated precondition,
-4 enumeration too large, 5 internal verification failure.
+4 enumeration too large, 5 internal error (a failed self-check or a stray
+ValueError, both library bugs).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .errors import (
     PathgamesError,
     PreconditionError,
     TooLarge,
-    ZeroSumMixedCycle,
 )
 from .fixtures import BUNDLED
 from .model import Game, SPGame, Situation, TerminalGame, validate
@@ -35,7 +35,7 @@ def _resolve_vertex(game: Game, label: str | None) -> int | None:
     if label is None:
         return None
     g = game.graph
-    if label.isdigit() or (label.startswith("-") and label[1:].isdigit()):
+    if label.isdecimal() or (label.startswith("-") and label[1:].isdecimal()):
         v = int(label)
         if 0 <= v < g.n_vertices:
             return v
@@ -232,9 +232,12 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckFailed as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (PathgamesError, ZeroSumMixedCycle, ValueError) as exc:
+    except PathgamesError as exc:  # ZeroSumMixedCycle included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except ValueError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -205,7 +205,7 @@ def bellman_ford_potentials(
 ) -> list[int]:
     """Shortest walk cost to each vertex from a virtual all-zero source.
 
-    The caller must guarantee there is no negative cycle; an AssertionError
+    The caller must guarantee there is no negative cycle; InternalCheckFailed
     here means that guarantee was broken.
     """
     weighted = [(u, v, weight(u, v)) for u, v in sorted(set(edges))]
@@ -219,7 +219,7 @@ def bellman_ford_potentials(
                 changed = True
         if not changed:
             return dist
-    raise AssertionError("negative cycle in potential computation")
+    raise InternalCheckFailed("negative cycle in potential computation")
 
 
 def _karp_min_mean(m: int, ledges: list[tuple[int, int, int]]) -> tuple[int, int] | None:
@@ -309,7 +309,7 @@ def _extract_mean_cycle(
             work.pop()
             color[v] = 2
             path.pop()
-    raise AssertionError(f"no cycle of mean {num}/{den} found in component {comp}")
+    raise InternalCheckFailed(f"no cycle of mean {num}/{den} found in component {comp}")
 
 
 def min_cycle_mean(

@@ -1,6 +1,11 @@
 """Brute-force ground truth: enumeration, normal forms, NE/UNE search.
 
-Everything here is deliberately simple and exhaustive. The enumeration cap
+Everything here is deliberately simple and exhaustive: every situation or
+deviation is traced with ``play.trace``. Only the costing is shared within
+one call: a shortest path game costs each distinct play once, and a
+terminal game, whose costs depend only on the outcome, each outcome once
+(the deviation checks compare outcomes with the set of those that beat the
+current cost). The enumeration cap
 (default 10**6, overridable via the PATHGAMES_ENUM_CAP environment variable
 or per call) keeps accidental blow-ups from hanging a session; exceeding it
 raises TooLarge rather than sampling.
@@ -16,8 +21,9 @@ from math import prod
 from typing import Iterator, Mapping
 
 from . import graphalg
-from .errors import PathgamesError, TooLarge
+from .errors import PathgamesError, PreconditionError, TooLarge
 from .model import (
+    ExtCost,
     Game,
     GameGraph,
     SPGame,
@@ -25,7 +31,7 @@ from .model import (
     TerminalGame,
     _edge_positive,
 )
-from .play import sp_cost, terminal_cost, trace
+from .play import Play, sp_cost, terminal_cost, trace
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "PATHGAMES_ENUM_CAP"
@@ -35,7 +41,12 @@ def resolve_cap(cap: int | None = None) -> int:
     if cap is not None:
         return cap
     env = os.environ.get(CAP_ENV_VAR)
-    return int(env) if env else DEFAULT_CAP
+    if not env:
+        return DEFAULT_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise PreconditionError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _graph_of(game_or_graph) -> GameGraph:
@@ -192,13 +203,22 @@ def normal_form(game: Game, start: int | None = None, cap: int | None = None) ->
     for p in g.players:
         strategies = player_strategies(g, p, cap=limit)
         axes.append(tuple(tuple(sorted(s.items())) for s in strategies))
+    # a terminal game's costs depend only on the outcome, an SP game's on the play
+    by_play = isinstance(game, SPGame)
+    vectors: dict = {}
     cells: dict[tuple[int, ...], tuple] = {}
+    moves: list[int | None] = [None] * g.n_vertices
     for index in itertools.product(*(range(len(a)) for a in axes)):
-        choice: dict[int, int] = {}
+        # the axes cover every non-terminal with one of its own moves
         for strategies, k in zip(axes, index):
-            choice.update(dict(strategies[k]))
-        situation = Situation.of(g, choice)
-        cells[index] = cost_vector(game, situation, start)
+            for v, t in strategies[k]:
+                moves[v] = t
+        play = trace(g, Situation(tuple(moves)), start)
+        key = play if by_play else play.terminal
+        vector = vectors.get(key)
+        if vector is None:
+            vector = vectors[key] = tuple(effective_cost(game, play, p) for p in g.players)
+        cells[index] = vector
     ne = _ne_indices(axes, cells)
     return NormalForm(start=start, axes=tuple(axes), cells=cells, ne=ne)
 
@@ -322,21 +342,47 @@ def verify_une(game: Game, situation: Situation, cap: int | None = None) -> Veri
 def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap) -> VerifyReport:
     """Exhaustive deviation check from ``start``, or from every start if None.
 
-    The witness is the first strict improvement in loop order.
+    The witness is the first strict improvement in loop order. Every
+    deviation is traced; an SP game costs each distinct play once per
+    player, and a terminal game compares outcomes against the set of those
+    that beat the current cost.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
     base = {v: trace(g, situation, v) for v in starts}
+    terminal = isinstance(game, TerminalGame)
     for player in g.players:
         strategies = player_strategies(g, player, cap)
+        seen: dict[Play, ExtCost] = {}
         for v in starts:
-            cur = effective_cost(game, base[v], player)
+            if terminal:
+                cur = terminal_cost(game, base[v], player)
+                wins = {w for w in g.terminals if game.cost_at(w, player) < cur}
+                if game.cycle_cost(player) < cur:
+                    wins.add(None)
+            else:
+                cur = _sp_cost_once(game, base[v], player, seen)
             for strategy in strategies:
                 deviated = situation.replace(strategy)
-                alt = effective_cost(game, trace(g, deviated, v), player)
-                if alt < cur:
-                    return VerifyReport(
-                        False, player, v, deviated,
-                        note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
-                    )
+                play = trace(g, deviated, v)
+                if terminal:
+                    if play.terminal not in wins:
+                        continue
+                    alt = terminal_cost(game, play, player)
+                else:
+                    alt = _sp_cost_once(game, play, player, seen)
+                    if not alt < cur:
+                        continue
+                return VerifyReport(
+                    False, player, v, deviated,
+                    note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
+                )
     return VerifyReport(True, start=start)
+
+
+def _sp_cost_once(game: SPGame, play: Play, player: int, seen: dict[Play, ExtCost]) -> ExtCost:
+    """``sp_cost`` of the play, computed on its first sight in ``seen``."""
+    cost = seen.get(play)
+    if cost is None:
+        cost = seen[play] = sp_cost(game, play, player)
+    return cost

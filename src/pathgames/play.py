@@ -51,16 +51,18 @@ class Play:
 
 def trace(graph: GameGraph, situation: Situation, start: int) -> Play:
     """Follow the situation from start until a terminal or a repeated vertex."""
-    if graph.is_terminal(start):
+    owner = graph.owner
+    moves = situation.moves
+    if owner[start] is None:
         return Play(prefix=(), terminal=start)
     walk = [start]
     seen = {start: 0}
     v = start
     while True:
-        v = situation[v]
+        v = moves[v]
         if v is None:
             raise InternalCheckFailed(f"situation has no move at vertex {walk[-1]}")
-        if graph.is_terminal(v):
+        if owner[v] is None:
             return Play(prefix=tuple(walk), terminal=v)
         if v in seen:
             k = seen[v]

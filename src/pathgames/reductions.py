@@ -238,7 +238,7 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
             layer[v] = None  # optimal play is to cycle, not to take a route
         elif k < 0:
             # raised, not asserted: under -O, classes[-1] would pass silently
-            raise AssertionError(f"vertex {v} has neither a terminal route nor a cycle")
+            raise InternalCheckFailed(f"vertex {v} has neither a terminal route nor a cycle")
         else:
             value.append(classes[k])
     return ResponseTables(player, tuple(value), tuple(layer))
@@ -308,7 +308,7 @@ def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
     for u, v in g.sorted_edges():
         cu, cv = comp_of[u], comp_of[v]
         if cu == cv and u != v and len(comps[cu]) < 2:
-            raise AssertionError("intra-singleton edge between distinct vertices")
+            raise InternalCheckFailed("intra-singleton edge between distinct vertices")
         key = (cu, cv)
         if cu == cv and u == v and len(comps[cu]) >= 2:
             continue  # absorbed by the component loop below
@@ -376,7 +376,7 @@ def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
         reached.update(nxt)
         layer = list(nxt)
     if len(reached) < len(into):
-        raise AssertionError(f"component {cid} not strongly connected")
+        raise InternalCheckFailed(f"component {cid} not strongly connected")
     return tree
 
 

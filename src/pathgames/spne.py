@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveCycle,
     NotPositive,
     NotSymmetric,
+    PreconditionError,
     Unreachable,
     VerificationFailed,
 )
@@ -60,7 +61,7 @@ def decompose(game: SPGame) -> ComponentDecomposition:
     """
     g = game.graph
     if len(g.terminals) != 1:
-        raise ValueError("decompose expects a single-terminal game (merge first)")
+        raise PreconditionError("decompose expects a single-terminal game (merge first)")
     comps, comp_of = g._player_components
     owners = tuple(g.owner[comp[0]] for comp in comps)
     for u, v in g.edge_set:
@@ -115,7 +116,7 @@ def _path_cost(game: SPGame, path: list[int], player: int) -> int:
 def _make_special_path(game: SPGame, dec: ComponentDecomposition, path: list[int]) -> SpecialPath:
     blocks, comps = _split_blocks(path, dec)
     if len(set(comps)) != len(comps):
-        raise AssertionError("path re-enters a component it left")
+        raise InternalCheckFailed("path re-enters a component it left")
     # each block's moves plus its exit, in the block owner's costs
     scale = game._int_costs[0]
     r = []
@@ -140,7 +141,7 @@ def _check_no_forward_jumps(g: GameGraph, dec: ComponentDecomposition, sp: Speci
             for w in g.out[v]:
                 k = later_than.get(dec.comp_of[w])
                 if k is not None and k >= j + 2:
-                    raise AssertionError(
+                    raise InternalCheckFailed(
                         f"edge ({v}, {w}) jumps from block {j} to block {k}"
                     )
 
@@ -358,7 +359,7 @@ def solve_theorem1(
     if start is None:
         start = g.initial
     if start is None or g.is_terminal(start):
-        raise ValueError("a non-terminal start vertex is required")
+        raise PreconditionError("a non-terminal start vertex is required")
     if not is_edge_symmetric(g):
         raise NotSymmetric("the graph is not edge-symmetric")
     working = game

@@ -12,7 +12,7 @@ cost from the start must equal their one-player relaxation's optimum there.
 from __future__ import annotations
 
 from . import graphalg
-from .errors import NotSymmetric
+from .errors import NotSymmetric, PreconditionError
 from .model import (
     GameGraph,
     Situation,
@@ -103,7 +103,7 @@ def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
     if start is None:
         start = g.initial
     if start is None or g.is_terminal(start):
-        raise ValueError("a non-terminal start vertex is required")
+        raise PreconditionError("a non-terminal start vertex is required")
     if not is_edge_symmetric(g):
         raise NotSymmetric("the graph is not edge-symmetric")
     small, cmap = contract_small_game(game)

@@ -1,0 +1,53 @@
+"""Reference copies of the exhaustive oracle's costing loops.
+
+These re-cost every cell and every deviation from scratch, with one
+``effective_cost`` call per player and play and a ``Fraction`` or
+``ExtCost`` comparison per deviation. The library costs each distinct play
+(shortest path games) or outcome (terminal games) once per call; tests
+require both to return identical cells, equilibria and reports.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from pathgames import oracle
+from pathgames.model import Situation
+from pathgames.play import trace
+
+
+def normal_form_cells(game, start):
+    """``(axes, cells)`` of the normal form from ``start``, one costing per cell."""
+    g = game.graph
+    axes = [
+        tuple(tuple(sorted(s.items())) for s in oracle.player_strategies(g, p))
+        for p in g.players
+    ]
+    cells = {}
+    for index in itertools.product(*(range(len(a)) for a in axes)):
+        choice = {}
+        for strategies, k in zip(axes, index):
+            choice.update(dict(strategies[k]))
+        situation = Situation.of(g, choice)
+        cells[index] = oracle.cost_vector(game, situation, start)
+    return axes, cells
+
+
+def verify_exhaustive(game, situation, start):
+    """Deviation check from ``start``, or from every start if None."""
+    g = game.graph
+    starts = g.nonterminals if start is None else (start,)
+    base = {v: trace(g, situation, v) for v in starts}
+    for player in g.players:
+        strategies = oracle.player_strategies(g, player)
+        for v in starts:
+            cur = oracle.effective_cost(game, base[v], player)
+            for strategy in strategies:
+                deviated = situation.replace(strategy)
+                alt = oracle.effective_cost(game, trace(g, deviated, v), player)
+                if alt < cur:
+                    return oracle.VerifyReport(
+                        False, player, v, deviated,
+                        note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
+                    )
+    return oracle.VerifyReport(True, start=start)

@@ -265,3 +265,35 @@ def test_oracle_une_on_an_all_terminal_game(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", "une", str(path))
     assert code == 0
     assert out == "1 UNE found\n\n"
+
+
+_TERMINAL_START = (3, "error: a non-terminal start vertex is required\n")
+
+
+@pytest.mark.parametrize("kind, name, start, expected", [
+    ("terminal-ne", "g2", "a1", _TERMINAL_START),
+    ("sp-ne", "g6s", "a1", _TERMINAL_START),
+    # a digit that int() rejects is looked up as a name
+    ("terminal-ne", "g2", "\u00b2", (2, "error: no vertex named '\u00b2'\n")),
+])
+def test_solve_start_vertex_errors(capsys, example_file, kind, name, start, expected):
+    code, out, err = run(capsys, "solve", kind, example_file(name), "--start", start)
+    assert (code, err) == expected
+    assert out == ""
+
+
+def test_bad_enumeration_cap_is_a_precondition(capsys, example_file, monkeypatch):
+    monkeypatch.setenv("PATHGAMES_ENUM_CAP", "many")
+    code, _, err = run(capsys, "oracle", "ne", example_file("g6"))
+    assert (code, err) == (3, "error: PATHGAMES_ENUM_CAP must be an integer, got 'many'\n")
+
+
+def test_stray_value_error_is_an_internal_error(capsys, example_file, monkeypatch):
+    # outside input is rejected with the library's own errors, so a ValueError is a bug
+    def broken(game, start=None):
+        raise ValueError("negative weight on edge (0, 1)")
+
+    monkeypatch.setattr("pathgames.cli.solve_theorem2", broken)
+    code, out, err = run(capsys, "solve", "terminal-ne", example_file("g2"))
+    assert (code, out) == (5, "")
+    assert err == "internal error: negative weight on edge (0, 1)\n"

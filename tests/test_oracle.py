@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import genutil
-from pathgames import oracle
-from pathgames.errors import TooLarge
-from pathgames.model import ExtCost, Situation, sp_game, terminal_game
+import oracle_reference
+from pathgames import oracle, play
+from pathgames.errors import TooLarge, ZeroSumMixedCycle
+from pathgames.model import ExtCost, SPGame, Situation, sp_game, terminal_game
 from pathgames.play import trace
 from pathgames.une import solve_theorem3
 
@@ -243,3 +244,130 @@ def test_find_all_une_on_an_all_terminal_game():
     found = oracle.find_all_une(game)
     assert found == [Situation((None, None))]
     assert oracle.verify_une(game, found[0]).ok
+
+
+def _random_situation(rng, graph):
+    return Situation.of(graph, {v: rng.choice(graph.out[v]) for v in graph.nonterminals})
+
+
+def _mixed_sign_sp(rng):
+    """Symmetric SP board with costs in {-1, 0, 1}: negative, zero-sum and mixed cycles."""
+    board = genutil.random_symmetric_positive_sp(rng, max_v=7)
+    cost = {e: tuple(rng.choice((-1, 0, 1)) for _ in cs) for e, cs in board.edge_cost.items()}
+    return sp_game(list(board.graph.owner), cost, board.graph.n_players,
+                   initial=board.graph.initial)
+
+
+ORACLE_SOURCES = (
+    lambda rng: genutil.random_symmetric_terminal(rng, max_v=7),
+    lambda rng: genutil.random_ring_ciw_terminal(rng, max_v=8),
+    lambda rng: genutil.random_ciw_terminal(rng, max_v=6),
+    lambda rng: genutil.random_positive_cycle_sp(rng, max_v=6),
+    lambda rng: genutil.random_symmetric_positive_sp(rng, max_v=7),
+    _mixed_sign_sp,
+)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ZeroSumMixedCycle as exc:
+        return f"ZeroSumMixedCycle: {exc}"
+
+
+def test_costing_once_matches_the_per_cell_reference():
+    # normal forms and exhaustive reports equal the loops that re-cost everything
+    rng = random.Random(29)
+    checked = failing = undefined = 0
+    per_source = [0] * len(ORACLE_SOURCES)
+    while checked < 720:
+        k = checked % len(ORACLE_SOURCES)
+        game = ORACLE_SOURCES[k](rng)
+        g = game.graph
+        checked += 1
+        if oracle.situation_count(g) > 2000:
+            continue
+        per_source[k] += 1
+        start = rng.choice(g.nonterminals)
+        situation = _random_situation(rng, g)
+
+        def normal_form():
+            nf = oracle.normal_form(game, start)
+            return nf.axes, {i: tuple(map(str, c)) for i, c in nf.cells.items()}, nf.ne
+
+        def reference_form():
+            axes, cells = oracle_reference.normal_form_cells(game, start)
+            strs = {i: tuple(map(str, c)) for i, c in cells.items()}
+            return tuple(axes), strs, oracle._ne_indices(axes, cells)
+
+        got = _outcome(normal_form)
+        assert got == _outcome(reference_form), game
+        undefined += isinstance(got, str)
+        for where in (start, None):
+            report = _outcome(lambda: oracle._verify_exhaustive(game, situation, where, None))
+            expected = _outcome(
+                lambda: oracle_reference.verify_exhaustive(game, situation, where)
+            )
+            assert report == expected, (game, situation, where)
+            failing += not isinstance(report, str) and not report.ok
+    assert sum(per_source[:5]) >= 500 and per_source[5] >= 100, per_source
+    assert failing >= 100 and undefined >= 10, (failing, undefined)
+
+
+def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
+    # as many traces as the reference, but each play or outcome is costed once
+    real_trace = play.trace
+    traces = genutil.count_calls(monkeypatch, play, "trace")
+    sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
+    terminal_costs = genutil.count_calls(monkeypatch, play, "terminal_cost")
+    monkeypatch.setattr(oracle_reference, "trace", oracle.trace)
+
+    def counted(run):
+        for calls in (traces, sp_costs, terminal_costs):
+            calls.clear()
+        result = run()
+        plays = {real_trace(*args) for args in traces}
+        return result, len(traces), len(plays), len(sp_costs), len(terminal_costs)
+
+    rng = random.Random(31)
+    passing = terminal_passing = 0
+    for k in range(100):
+        game = ORACLE_SOURCES[k % 5](rng)
+        g = game.graph
+        if oracle.situation_count(g) > 2000:
+            continue
+        n = g.n_players
+        start = rng.choice(g.nonterminals)
+        nf, cells, plays, sp_n, terminal_n = counted(lambda: oracle.normal_form(game, start))
+        assert cells == len(nf.cells)
+        if isinstance(game, SPGame):
+            assert 0 < sp_n <= plays * n and terminal_n == 0
+        else:
+            assert 0 < terminal_n <= (len(g.terminals) + 1) * n and sp_n == 0
+        candidates = [(_random_situation(rng, g), start), (_random_situation(rng, g), None)]
+        candidates += [(nf.situation_at(i, g), start) for i in sorted(nf.ne)[:2]]
+        if isinstance(game, SPGame):
+            verify = lambda s, where: oracle._verify_exhaustive(game, s, where, None)
+        else:
+            verify = lambda s, where: (
+                oracle.verify_une(game, s) if where is None
+                else oracle.verify_ne_terminal(game, s, where)
+            )
+        for situation, where in candidates:
+            starts = g.nonterminals if where is None else (where,)
+            report, n_traces, plays, sp_n, terminal_n = counted(lambda: verify(situation, where))
+            _, n_reference, *_ = counted(
+                lambda: oracle_reference.verify_exhaustive(game, situation, where)
+            )
+            assert n_traces == n_reference
+            assert sp_n <= plays * n
+            # a terminal game costs the current play once per player and
+            # start, plus the witness's outcome for the report's note
+            assert terminal_n <= n * len(starts) + (not report.ok)
+            if not report.ok:
+                continue
+            passing += 1
+            per_start = sum(len(oracle.player_strategies(g, p)) for p in g.players)
+            assert n_traces == len(starts) * (1 + per_start)
+            terminal_passing += not isinstance(game, SPGame)
+    assert passing >= 60 and terminal_passing >= 30, (passing, terminal_passing)

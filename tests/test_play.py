@@ -219,7 +219,7 @@ def test_internal_checks_raise_under_dash_O():
         stuck = terminal_game([1, 2, None], [(1, 0), (1, 2)], {2: (-1, -1)}, n_players=2)
         try:
             response_tables(stuck, Situation((None, 0, None)), 1)
-        except AssertionError as exc:
+        except InternalCheckFailed as exc:
             print(sys.flags.optimize, exc)
         """
     )
