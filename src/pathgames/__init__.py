@@ -82,7 +82,6 @@ from .une import (
     initial_basic_situation,
     solve_theorem3,
     uniform_best_improvement,
-    uniform_best_response,
 )
 
 __version__ = "0.1.0"

@@ -2,8 +2,7 @@
 
 The two NE-free shortest path games use structural vertex names: ``a`` is
 the blue vertex entered from ``s`` at cost (-1, 2) and ``b`` is the blue
-vertex adjacent to ``t``. Published diagrams label these two vertices
-inconsistently; ``ALT_LABELS`` records the alternate renderings.
+vertex adjacent to ``t``.
 """
 
 from __future__ import annotations
@@ -11,11 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .model import SPGame, TerminalGame, sp_game, terminal_game
-
-ALT_LABELS = {
-    "fig1-pm": {"a": ("u", "v"), "b": ("v", "u")},
-}
-
 
 def fig1_pm() -> SPGame:
     """2-person edge-symmetric game, mixed-sign costs, no zero cycle, no NE."""

@@ -4,17 +4,25 @@ The JSON interchange format carries vertices with owners (player number or
 "T"), edges with per-player cost vectors for shortest path games, or bare
 edges plus terminal/infinite cost tables for terminal games. Rationals are
 written as canonical "p" / "p/q" strings and may be read back from integer
-literals, fraction strings or decimal strings.
+literals, fraction strings or decimal strings. A decimal exponent is
+bounded like an integer literal's digits, by ``sys.get_int_max_str_digits()``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
 from .errors import GameFormatError
 from .model import Game, GameGraph, SPGame, Situation, TerminalGame
+
+
+def _max_digits() -> int:
+    """``int()``'s digit limit; 0 switches it off, and Python before 3.10.7 has none."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit or sys.maxsize
 
 
 def parse_rational(value: Any) -> Fraction:
@@ -25,6 +33,9 @@ def parse_rational(value: Any) -> Fraction:
             num, slash, den = value.partition("/")
             if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
                 return Fraction(int(num), int(den or 1))
+            _, e, exp = value.lower().partition("e")
+            if e and abs(int(exp)) > _max_digits():
+                raise ValueError("exponent too large")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFormatError(f"not a rational: {value!r}") from exc
@@ -46,38 +57,55 @@ def format_rational(q: Fraction) -> str:
 def _parse_owner(raw: Any, n_players: int) -> int | None:
     if raw == "T":
         return None
-    if isinstance(raw, int) and not isinstance(raw, bool) and 1 <= raw <= n_players:
+    if type(raw) is int and 1 <= raw <= n_players:
         return raw
     raise GameFormatError(f"owner must be 1..{n_players} or \"T\", got {raw!r}")
 
 
+_CONTAINERS = {"vertices": list, "edges": list, "terminal_costs": dict, "infinite_costs": list}
+
+
 def game_from_dict(data: dict) -> Game:
+    """Build a game from its JSON form; malformed input raises GameFormatError.
+
+    Ids, endpoints and the player count must be exact ``int``s, so a JSON
+    ``true`` or ``false`` is not read as 1 or 0.
+    """
     try:
         n_players = data["players"]
         raw_vertices = data["vertices"]
         raw_edges = data["edges"]
     except (KeyError, TypeError) as exc:
         raise GameFormatError(f"missing required field: {exc}") from exc
-    if not isinstance(n_players, int) or n_players < 1:
+    if type(n_players) is not int or n_players < 1:
         raise GameFormatError(f"players must be a positive integer, got {n_players!r}")
+    for field, kind in _CONTAINERS.items():
+        if field in data and not isinstance(data[field], kind):
+            raise GameFormatError(
+                f"{field} must be a JSON {'array' if kind is list else 'object'}, "
+                f"got {type(data[field]).__name__}"
+            )
 
     by_id = {}
     for entry in raw_vertices:
+        if not isinstance(entry, dict):
+            raise GameFormatError(f"vertex must be a JSON object, got {type(entry).__name__}")
         vid = entry.get("id")
-        if not isinstance(vid, int) or vid in by_id:
+        if type(vid) is not int or vid in by_id:
             raise GameFormatError(f"bad or duplicate vertex id: {vid!r}")
         by_id[vid] = entry
-    if sorted(by_id) != list(range(len(by_id))):
+    n = len(by_id)
+    if sorted(by_id) != list(range(n)):
         raise GameFormatError("vertex ids must be dense 0..|V|-1")
     owner = []
     names = []
-    for vid in range(len(by_id)):
+    for vid in range(n):
         entry = by_id[vid]
         owner.append(_parse_owner(entry.get("owner"), n_players))
         names.append(str(entry.get("name", vid)))
 
     initial = data.get("initial")
-    if initial is not None and (not isinstance(initial, int) or initial not in by_id):
+    if initial is not None and (type(initial) is not int or not 0 <= initial < n):
         raise GameFormatError(f"initial must be a vertex id, got {initial!r}")
 
     is_terminal_game = "terminal_costs" in data
@@ -88,8 +116,8 @@ def game_from_dict(data: dict) -> Game:
             u, v = entry["from"], entry["to"]
         except (KeyError, TypeError) as exc:
             raise GameFormatError(f"edge missing endpoint: {entry!r}") from exc
-        if u not in by_id or v not in by_id:
-            raise GameFormatError(f"edge ({u}, {v}) references unknown vertex")
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            raise GameFormatError(f"edge ({u!r}, {v!r}) references unknown vertex")
         edges.append((u, v))
         if not is_terminal_game:
             costs = entry.get("costs")
@@ -166,6 +194,8 @@ def load_game(path: str) -> Game:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise GameFormatError(f"{path} nests too deeply") from exc
     if not isinstance(data, dict):
         raise GameFormatError(f"{path}: top level must be an object")
     return game_from_dict(data)

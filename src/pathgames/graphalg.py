@@ -30,10 +30,6 @@ def out_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def in_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
-    return out_adjacency(n, ((v, u) for u, v in edges))
-
-
 def strongly_connected_components(
     n: int, out: Sequence[Sequence[int]]
 ) -> list[list[int]]:
@@ -94,7 +90,7 @@ def reachable_to(
     n: int, edges: Iterable[tuple[int, int]], targets: Iterable[int]
 ) -> set[int]:
     """Vertices from which some target is reachable (targets included)."""
-    radj = in_adjacency(n, edges)
+    radj = out_adjacency(n, ((v, u) for u, v in edges))
     seen = set(targets)
     todo = sorted(seen)
     while todo:

@@ -99,11 +99,6 @@ def effective_cost(game: Game, play, player: int):
     return terminal_cost(game, play, player)
 
 
-def cost_vector(game: Game, situation: Situation, start: int):
-    play = trace(game.graph, situation, start)
-    return tuple(effective_cost(game, play, p) for p in game.graph.players)
-
-
 def _require_start(game: Game, start: int | None) -> int:
     if start is None:
         start = game.graph.initial

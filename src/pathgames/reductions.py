@@ -147,11 +147,6 @@ def terminal_to_sp(game: TerminalGame) -> SpReduction:
     return SpReduction(SPGame(g, cost), scale, big_m)
 
 
-def player_components(graph: GameGraph) -> list[list[int]]:
-    """SCCs of each player-induced subgraph; terminals are singletons."""
-    return [list(comp) for comp in graph._player_components[0]]
-
-
 def one_player_out(
     graph: GameGraph, player: int, fixed: Sequence[int | None]
 ) -> list[list[int]]:

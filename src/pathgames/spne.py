@@ -48,10 +48,6 @@ class ComponentDecomposition:
     members: tuple[tuple[int, ...], ...]
     comp_owner: tuple[int | None, ...]
 
-    @property
-    def n_components(self) -> int:
-        return len(self.members)
-
 
 def decompose(game: SPGame) -> ComponentDecomposition:
     """Decompose a single-terminal game board into components.

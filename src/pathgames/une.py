@@ -70,22 +70,6 @@ def _assemble_strategy(
     return strategy
 
 
-def uniform_best_response(
-    game: TerminalGame, situation: Situation, player: int
-) -> tuple[dict[int, int], tuple[Fraction, ...]]:
-    """A strategy minimizing the player's cost from every vertex at once.
-
-    Only the opponent part of ``situation`` is read. The returned strategy is
-    re-verified at every vertex on the outcomes of its plays; a mismatch
-    raises VerificationFailed and would mean a bug in the construction.
-    """
-    tables = response_tables(game, situation, player)
-    strategy = _assemble_strategy(game, situation, tables)
-    combined = situation.replace(strategy)
-    _check_table_values(game, combined, [tables], game.graph.nonterminals)
-    return strategy, tables.value
-
-
 def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[Fraction]:
     """Each non-terminal's play cost for its controller, in `nonterminals` order."""
     g = game.graph

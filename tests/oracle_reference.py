@@ -16,6 +16,12 @@ from pathgames.model import Situation
 from pathgames.play import trace
 
 
+def cost_vector(game, situation, start):
+    """Every player's cost of the play from ``start``."""
+    play = trace(game.graph, situation, start)
+    return tuple(oracle.effective_cost(game, play, p) for p in game.graph.players)
+
+
 def normal_form_cells(game, start):
     """``(axes, cells)`` of the normal form from ``start``, one costing per cell."""
     g = game.graph
@@ -29,7 +35,7 @@ def normal_form_cells(game, start):
         for strategies, k in zip(axes, index):
             choice.update(dict(strategies[k]))
         situation = Situation.of(g, choice)
-        cells[index] = oracle.cost_vector(game, situation, start)
+        cells[index] = cost_vector(game, situation, start)
     return axes, cells
 
 

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -297,3 +300,56 @@ def test_stray_value_error_is_an_internal_error(capsys, example_file, monkeypatc
     code, out, err = run(capsys, "solve", "terminal-ne", example_file("g2"))
     assert (code, out) == (5, "")
     assert err == "internal error: negative weight on edge (0, 1)\n"
+
+
+_HOSTILE = {
+    "vertices-int": (_chain_dict(vertices=5), "vertices must be a JSON array, got int"),
+    "vertices-ints": (_chain_dict(vertices=[1, 2, 3]), "vertex must be a JSON object, got int"),
+    "edges-int": (_chain_dict(edges=7), "edges must be a JSON array, got int"),
+    "endpoint-list": (_chain_dict(edges=[{"from": [0], "to": 1}]),
+                      "edge ([0], 1) references unknown vertex"),
+    "terminal-costs-list": (_chain_dict(terminal_costs=[1]),
+                            "terminal_costs must be a JSON object, got list"),
+    "infinite-costs-int": (_chain_dict(infinite_costs=3),
+                           "infinite_costs must be a JSON array, got int"),
+    "initial-true": (_chain_dict(initial=True), "initial must be a vertex id, got True"),
+    "id-true": (_chain_dict(vertices=[{"id": True, "owner": 1}, {"id": 0, "owner": 2},
+                                      {"id": 2, "owner": "T"}]),
+                "bad or duplicate vertex id: True"),
+    "from-false": (_chain_dict(edges=[{"from": False, "to": 1}] + _CHAIN_EDGES[1:]),
+                   "edge (False, 1) references unknown vertex"),
+    "players-true": (_chain_dict(players=True), "players must be a positive integer, got True"),
+}
+
+
+@pytest.mark.parametrize("argv", [("validate",), ("solve", "une"), ("oracle", "ne")],
+                         ids=["validate", "solve", "oracle"])
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_fields_are_parse_errors(capsys, tmp_path, name, argv):
+    # wrongly typed fields, and booleans where an integer is meant
+    data, message = _HOSTILE[name]
+    path = tmp_path / "hostile.json"
+    path.write_text(json.dumps(data))
+    assert run(capsys, *argv, str(path)) == (2, "", f"error: {message}\n")
+
+
+def test_deeply_nested_json_is_a_parse_error(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out, err) == (2, "", f"error: {path} nests too deeply\n")
+
+
+@pytest.mark.parametrize("cost", ["1e999999999", "1e-999999999", "1E+4301"])
+def test_huge_decimal_exponent_is_a_parse_error(tmp_path, cost):
+    # Fraction(cost) would build 10**exponent; a regression hangs, so the
+    # check runs in a child process under a timeout
+    path = tmp_path / "exponent.json"
+    path.write_text(json.dumps(_chain_dict(terminal_costs={"2": [cost, "-1"]})))
+    src = os.path.dirname(os.path.dirname(gamefiles.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "pathgames.cli", "validate", str(path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=20,
+    )
+    assert (result.returncode, result.stdout) == (2, "")
+    assert result.stderr == f"error: not a rational: {cost!r}\n"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -36,13 +38,17 @@ def test_parse_rational_rejects(value):
 
 
 def _fraction_parser(value):
-    """The loader's rule before its fast path: Fraction's own string parser."""
+    """The loader's rule: Fraction's own string parser, with an exponent
+    bounded by the digit limit that ``int()`` puts on integer strings."""
     if isinstance(value, bool):
         raise GameFormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z", value)
+            if exponent and abs(int(exponent[1])) > sys.get_int_max_str_digits():
+                raise ValueError("exponent too large")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFormatError(f"not a rational: {value!r}") from exc
@@ -90,6 +96,10 @@ def _outcome(parse, value):
     ("0/0", None),
     (" 3/4 ", Fraction(3, 4)),
     ("12345678901234567890/3", Fraction(4115226300411522630)),
+    ("1e4300", Fraction(10**4300)),
+    ("-1.5E-4300", Fraction(-15, 10**4301)),
+    ("1e4301", None),
+    ("1e-4_301", None),
 ])
 def test_parse_rational_edge_cases(value, expected):
     outcome = _outcome(parse_rational, value)

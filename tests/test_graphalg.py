@@ -127,7 +127,7 @@ def test_lex_dist_matches_fraction_reference():
         iweight, scale = int_weights(weights)
         iback = lambda u, v: iweight(v, u)
         adj = graphalg.out_adjacency(n, edges)
-        radj = graphalg.in_adjacency(n, edges)
+        radj = graphalg.out_adjacency(n, [(v, u) for u, v in edges])
         for k in (0, 1, 1, 2, 3):
             seeds = rng.sample(range(n), min(k, n))
             to = graphalg.lex_dist_to(n, edges, iweight, seeds)
@@ -212,3 +212,10 @@ def test_reachable_to():
     n, edges = 5, [(0, 1), (1, 2), (3, 3)]
     assert graphalg.reachable_to(n, edges, [2]) == {0, 1, 2}
     assert graphalg.reachable_to(n, edges, [4]) == {4}
+
+
+def test_wrong_minimum_mean_fails_the_cycle_extraction(monkeypatch):
+    # a mean below every cycle's leaves no zero-sum cycle on the tight edges
+    monkeypatch.setattr(graphalg, "_karp_min_mean", lambda m, edges: (0, 1))
+    with pytest.raises(InternalCheckFailed, match="no cycle of mean 0/1 found in component"):
+        graphalg.min_cycle_mean(2, [(0, 1), (1, 0)], lambda u, v: 1)

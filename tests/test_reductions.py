@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,7 +8,12 @@ import pytest
 
 import genutil
 from pathgames import oracle
-from pathgames.errors import CIWViolated, ConditionViolated, NonPositiveCycle
+from pathgames.errors import (
+    CIWViolated,
+    ConditionViolated,
+    InternalCheckFailed,
+    NonPositiveCycle,
+)
 from pathgames.model import (
     Situation,
     is_positive,
@@ -21,7 +27,6 @@ from pathgames.reductions import (
     contract_small_game,
     gallai_transform,
     lift_situation,
-    player_components,
     terminal_to_sp,
     une_preprocess,
 )
@@ -37,7 +42,7 @@ def test_player_components_match_naive_pass():
                 [w for w in g.out[v] if not g.is_terminal(w) and g.owner[w] == g.owner[v]]
                 for v in range(g.n_vertices)
             ]
-            comps = player_components(g)
+            comps = [list(comp) for comp in g._player_components[0]]
             assert comps == genutil.scc_naive(g.n_vertices, intra)
             multi += sum(len(c) > 1 for c in comps)
     assert multi >= 20
@@ -356,3 +361,19 @@ def test_une_preprocess_marks_terminal_free_region():
     prep = une_preprocess(g)
     assert prep.unreachable == frozenset({prep.contraction.component[0],
                                           prep.contraction.component[1]})
+
+
+def test_contraction_rejects_an_edge_inside_a_singleton_component():
+    game = terminal_game([1, 2, None], [(0, 1), (1, 0), (1, 2)], {2: (-1, -1)}, n_players=2)
+    # a broken component table: vertex 1 mapped into vertex 0's singleton
+    game.graph.__dict__["_player_components"] = (((0,), (1,), (2,)), (0, 0, 2))
+    with pytest.raises(InternalCheckFailed, match="intra-singleton edge between distinct vertices"):
+        contract_small_game(game)
+
+
+def test_lift_rejects_a_component_that_is_not_strongly_connected(chain):
+    _, cmap = contract_small_game(chain)
+    # vertex 2 is the terminal: nothing in the patched component leads back from it
+    broken = dataclasses.replace(cmap, members=((0, 2),) + cmap.members[1:])
+    with pytest.raises(InternalCheckFailed, match="component 0 not strongly connected"):
+        lift_situation(Situation((1, 2, None)), broken)

@@ -3,9 +3,27 @@
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pathgames
+
+SRC = Path(pathgames.__file__).parent
+
+
+def _modules():
+    return [(path, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+            for path in sorted(SRC.glob("*.py"))]
+
+
+def _names_read(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name
 
 
 def _raises_assertion_error(node) -> bool:
@@ -19,8 +37,22 @@ def test_src_has_no_assert_statements():
     # python -O strips assert statements, so internal checks must raise; and
     # they raise InternalCheckFailed, which the CLI maps to exit code 5
     found = []
-    for path in sorted(Path(pathgames.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    for path, tree in _modules():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert) or _raises_assertion_error(node)]
     assert found == []
+
+
+def test_every_public_definition_is_used_in_src():
+    # a public function or class that only tests read belongs in tests/; a
+    # re-export from __init__ counts as a use, a definition's own body does not
+    reads = Counter()
+    definitions = []
+    for path, tree in _modules():
+        for stmt in tree.body:
+            names = set(_names_read(stmt))
+            reads.update(names)
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                definitions.append((path.stem, stmt.name, stmt.name in names))
+    assert [f"{module}.{name}" for module, name, own in definitions if reads[name] == own] == []

@@ -11,8 +11,8 @@ import pytest
 
 import genutil
 import pathgames
-from pathgames import graphalg, oracle
-from pathgames.errors import NotPositive, NotSymmetric, Unreachable
+from pathgames import graphalg, oracle, spne
+from pathgames.errors import InternalCheckFailed, NotPositive, NotSymmetric, Unreachable
 from pathgames.model import (
     SPGame,
     Situation,
@@ -35,7 +35,7 @@ from pathgames.spne import (
 def test_decompose_g6s_all_singletons(g6s):
     merged, _ = merge_terminals(g6s)
     dec = decompose(merged)
-    assert dec.n_components == 7
+    assert len(dec.members) == 7
     assert all(len(m) == 1 for m in dec.members)
 
 
@@ -56,7 +56,7 @@ def test_decompose_no_intraplayer_edges_all_singletons(chain):
         n_players=2,
     )
     dec = decompose(game)
-    assert dec.n_components == 3
+    assert len(dec.members) == 3
 
 
 def test_lambda_shortest_g6s(g6s):
@@ -592,3 +592,22 @@ def test_solve_theorem1_transform_keeps_equilibria_with_two_terminals():
     )
     situation = solve_theorem1(game, transform=True)
     assert oracle.verify_ne_sp(game, situation).ok
+
+
+def test_lambda_shortest_rejects_a_path_that_re_enters_a_component(monkeypatch):
+    game = sp_game([1, 2, None], {(0, 1): (1, 1), (1, 0): (1, 1), (1, 2): (1, 1)}, n_players=2)
+    monkeypatch.setattr(graphalg, "canonical_path", lambda *args: [0, 1, 0, 1, 2])
+    with pytest.raises(InternalCheckFailed, match="path re-enters a component it left"):
+        lambda_shortest(game, decompose(game), 0)
+
+
+def test_make_special_rejects_a_path_that_skips_a_block():
+    # 0 -> 1 -> 2 crosses twice, though the edge 0 -> 2 reaches block 2 directly
+    game = sp_game(
+        [1, 2, None], {(0, 1): (1, 1), (1, 0): (1, 1), (1, 2): (1, 1), (0, 2): (1, 1)},
+        n_players=2,
+    )
+    dec = decompose(game)
+    detour = spne._make_special_path(game, dec, [0, 1, 2])
+    with pytest.raises(InternalCheckFailed, match=r"edge \(0, 2\) jumps from block 0 to block 2"):
+        make_special(game, dec, detour)

@@ -16,14 +16,27 @@ from pathgames import graphalg, oracle, play
 from pathgames.errors import ConditionViolated
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
-from pathgames.reductions import une_preprocess
+from pathgames.reductions import _check_table_values, une_preprocess
 from pathgames.une import (
+    _assemble_strategy,
     initial_basic_situation,
     response_tables,
     solve_theorem3,
     uniform_best_improvement,
-    uniform_best_response,
 )
+
+
+def uniform_best_response(game, situation, player):
+    """A strategy minimizing the player's cost from every vertex at once.
+
+    Only the opponent part of ``situation`` is read; the strategy is checked
+    at every vertex against the value tables, as the solver checks its own
+    improvements.
+    """
+    tables = response_tables(game, situation, player)
+    strategy = _assemble_strategy(game, situation, tables)
+    _check_table_values(game, situation.replace(strategy), [tables], game.graph.nonterminals)
+    return strategy, tables.value
 
 
 def brute_force_values(game, situation, player):
