@@ -135,12 +135,14 @@ def game_from_dict(data: dict) -> Game:
     if not is_terminal_game:
         return SPGame(graph, edge_cost)
 
+    # a key is a terminal's id exactly as game_to_dict writes it: not " 2",
+    # "2_0" or "02", and not the id of a non-terminal or of no vertex at all
+    terminal_ids = {str(w): w for w in graph.terminals}
     terminal_cost = {}
     for key, costs in data["terminal_costs"].items():
-        try:
-            w = int(key)
-        except ValueError as exc:
-            raise GameFormatError(f"terminal_costs key {key!r} is not a vertex id") from exc
+        w = terminal_ids.get(key)
+        if w is None:
+            raise GameFormatError(f"terminal_costs key {key!r} does not name a terminal vertex")
         if not isinstance(costs, list) or len(costs) != n_players:
             raise GameFormatError(f"terminal {w} needs {n_players} costs")
         terminal_cost[w] = tuple(map(parse_rational, costs))

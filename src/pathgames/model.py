@@ -3,9 +3,10 @@
 Vertices are dense integers 0..|V|-1. Players are numbered 1..n; a vertex
 owner of ``None`` marks a terminal. All cost values at the API are exact
 ``fractions.Fraction`` numbers so comparisons and ties are deterministic.
-Inside, a shortest path game also keeps one integer image of its costs,
-scaled by one game-wide factor, which the graph kernels run on. Every type
-here is immutable value data and safe to share between threads.
+Inside, every game also keeps one integer image of its costs, scaled by one
+game-wide factor, which the graph kernels and the terminal-game value tables
+run on. Every type here is immutable value data and safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -122,6 +123,20 @@ class GameGraph:
         )
 
     @cached_property
+    def _own_moves_in(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Per player, each vertex's in-neighbors along that player's own moves.
+
+        The one-player relaxations start from this and add the opponents'
+        fixed moves. Computed once per graph.
+        """
+        rows = [[[] for _ in range(self.n_vertices)] for _ in self.players]
+        for v in self.nonterminals:
+            into = rows[self.owner[v] - 1]
+            for w in self.out[v]:
+                into[w].append(v)
+        return tuple(tuple(map(tuple, row)) for row in rows)
+
+    @cached_property
     def _player_components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """SCCs of each player-induced subgraph and every vertex's SCC index.
 
@@ -183,7 +198,9 @@ class TerminalGame:
     """Terminal game: only the reached terminal (or cycling forever) pays.
 
     ``infinite_cost`` is the per-player cost of any infinite play; it
-    defaults to zero for everyone.
+    defaults to zero for everyone. Inside, the game keeps one integer cost
+    table (``_int_costs``): every cost times one game-wide scale S, so the
+    solvers compare ints and convert back to ``Fraction`` only for output.
     """
 
     graph: GameGraph
@@ -202,6 +219,23 @@ class TerminalGame:
     def cycle_cost(self, player: int) -> Fraction:
         return self.infinite_cost[player - 1]
 
+    @cached_property
+    def _int_costs(self) -> tuple[int, tuple[dict[int | None, int], ...]]:
+        """One game-wide scale S > 0 and, per player, each outcome's cost times S.
+
+        S is the LCM of the denominators of all terminal and infinite-play
+        costs. A row is keyed by outcome as ``play.outcomes`` reports it: a
+        terminal id for its terminal cost, None for the infinite-play cost.
+        Every comparison and tie on these ints matches the rational one.
+        Computed once per game.
+        """
+        costs = [*self.terminal_cost.items(), (None, self.infinite_cost)]
+        scale = math.lcm(*{c.denominator for _, cs in costs for c in cs})
+        return scale, tuple(
+            {end: cs[i].numerator * (scale // cs[i].denominator) for end, cs in costs}
+            for i in range(self.graph.n_players)
+        )
+
     def best_terminal(self, v: int) -> int | None:
         """Cheapest terminal move of v's controller, lowest id on ties.
 
@@ -211,8 +245,8 @@ class TerminalGame:
         moves = [w for w in g.out[v] if g.is_terminal(w)]
         if not moves:
             return None
-        me = g.owner[v]
-        return min(moves, key=lambda w: (self.cost_at(w, me), w))
+        row = self._int_costs[1][g.owner[v] - 1]
+        return min(moves, key=lambda w: (row[w], w))
 
     def restricted(self, edges: Iterable[tuple[int, int]]) -> "TerminalGame":
         """The same game with only the given moves left."""

@@ -11,7 +11,7 @@ games, their per-vertex value tables and the one equilibrium check on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -167,12 +167,15 @@ class ResponseTables:
 
     ``value[v]`` is the best effective cost player i can guarantee from v
     against the fixed opponent moves (the infinite-play cost stands for
-    cycling). ``layer[v]`` is v's hop distance to the terminals of its value
-    class along optimal routes, or None when v's optimum is to cycle.
+    cycling), as an int on the game's cost table: the cost times the game's
+    scale S (``TerminalGame._int_costs``). ``layer[v]`` is v's hop distance
+    to the terminals of its value class along optimal routes, or None when
+    v's optimum is to cycle. The tables depend only on the game and on the
+    moves of the other players.
     """
 
     player: int
-    value: tuple[Fraction, ...]
+    value: tuple[int, ...]
     layer: tuple[int | None, ...]
 
 
@@ -180,16 +183,20 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
     """Per-vertex optima for one player against the other's fixed moves."""
     g = game.graph
     n = g.n_vertices
-    adj = one_player_out(g, player, situation.moves)
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for w in adj[v]:
-            radj[w].append(v)
+    owner, moves = g.owner, situation.moves
+    # The relaxation's reverse moves: the player's own, then the fixed ones.
+    radj = list(map(list, g._own_moves_in[player - 1]))
+    left = [0] * n
+    for v in g.nonterminals:
+        if owner[v] == player:
+            left[v] = len(g.out[v])
+        elif moves[v] is not None:
+            radj[moves[v]].append(v)
+            left[v] = 1
 
     # Peel vertices whose every move leads to peeled ones, terminals first.
     # Every walk from a peeled vertex ends, so exactly the vertices left
     # with moves can cycle.
-    left = [len(moves) for moves in adj]
     todo = [v for v in range(n) if not left[v]]
     while todo:
         v = todo.pop()
@@ -200,11 +207,12 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
 
     # Reachable-terminal optima as class indices, best class first; the
     # breadth-first layers of each class double as its routing structure.
-    classes = sorted({game.cost_at(w, player) for w in g.terminals})
+    cost = game._int_costs[1][player - 1]
+    classes = sorted({cost[w] for w in g.terminals})
     rank = {c: k for k, c in enumerate(classes)}
     by_class: list[list[int]] = [[] for _ in classes]
     for w in g.terminals:
-        by_class[rank[game.cost_at(w, player)]].append(w)
+        by_class[rank[cost[w]]].append(w)
     best_class = [-1] * n
     layer: list[int | None] = [None] * n
     for k, frontier in enumerate(by_class):
@@ -223,9 +231,9 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
                         nxt.append(u)
             frontier = nxt
 
-    cycle_value = game.cycle_cost(player)
+    cycle_value = cost[None]
     cycle_wins = [cycle_value < c for c in classes]
-    value: list[Fraction] = []
+    value: list[int] = []
     for v in range(n):
         k = best_class[v]
         if left[v] and (k < 0 or cycle_wins[k]):
@@ -239,10 +247,9 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
     return ResponseTables(player, tuple(value), tuple(layer))
 
 
-def _play_costs(game: TerminalGame, ends: list[int | None], player: int) -> list[Fraction]:
-    """The player's effective cost of the play from every start."""
-    cycle = game.cycle_cost(player)
-    return [cycle if t is None else game.cost_at(t, player) for t in ends]
+def _play_costs(game: TerminalGame, ends: list[int | None], player: int) -> list[int]:
+    """The player's effective cost of the play from every start, times the game's scale."""
+    return list(map(game._int_costs[1][player - 1].__getitem__, ends))
 
 
 def _check_table_values(
@@ -250,22 +257,28 @@ def _check_table_values(
     situation: Situation,
     tables: Iterable[ResponseTables],
     starts: Sequence[int],
-) -> None:
+) -> list[int | None]:
     """Raise VerificationFailed unless every play from ``starts`` is optimal.
 
     Optimal means that the play costs each tabled player exactly the value
     of their one-player relaxation at that start: a situation passes for one
     start iff it is a NE from there, and for every start iff it is uniform.
+    Returns the situation's outcomes (``play.outcomes``), evaluated once here.
+    The tables must come from ``game``, whose cost table they share; a
+    failure reports both costs in game units.
     """
     ends = outcomes(game.graph, situation)
+    scale = game._int_costs[0]
     for t in tables:
         got = _play_costs(game, ends, t.player)
         for v in starts:
             if got[v] != t.value[v]:
                 raise VerificationFailed(
-                    f"player {t.player} from vertex {v}: the play costs {got[v]}, "
-                    f"the one-player optimum is {t.value[v]}"
+                    f"player {t.player} from vertex {v}: the play costs "
+                    f"{Fraction(got[v], scale)}, the one-player optimum is "
+                    f"{Fraction(t.value[v], scale)}"
                 )
+    return ends
 
 
 @dataclass(frozen=True)
@@ -282,6 +295,10 @@ class ContractionMap:
     component: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     rep_edge: Mapping[tuple[int, int], tuple[int, int]]
+    # (component, root) -> that component's in-tree, built on first use
+    _trees: dict[tuple[int, int], dict[int, int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
@@ -350,8 +367,12 @@ def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
 
     Built by reverse breadth-first search over the component's own moves, so
     lifted walks are as short as possible; within a layer the lowest-id
-    parent wins.
+    parent wins. Memoised on ``cmap``, so every lift through one contraction
+    builds each tree once.
     """
+    tree = cmap._trees.get((cid, root))
+    if tree is not None:
+        return tree
     g = cmap.graph
     into: dict[int, list[int]] = {v: [] for v in cmap.members[cid]}
     for v in into:
@@ -372,6 +393,7 @@ def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
         layer = list(nxt)
     if len(reached) < len(into):
         raise InternalCheckFailed(f"component {cid} not strongly connected")
+    cmap._trees[cid, root] = tree
     return tree
 
 
@@ -380,7 +402,8 @@ def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
 
     Inside each component the play follows the in-tree to the root, which
     then takes the representative edge; a loop choice is realized by cycling
-    between the representative intra-component edge's endpoints.
+    between the representative intra-component edge's endpoints. A singleton
+    component is its own root and needs no tree.
     """
     g = cmap.graph
     choice: dict[int, int] = {}
@@ -391,12 +414,9 @@ def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
         if target is None:
             raise InternalCheckFailed(f"situation has no move at component {cid}")
         u, v = cmap.rep_edge[(cid, target)]
-        if target == cid and len(members) == 1:
-            choice[u] = u  # original self-loop
-            continue
-        for w, parent in _tree_toward(cmap, cid, u).items():
-            choice[w] = parent
-        choice[u] = v
+        if len(members) > 1:
+            choice.update(_tree_toward(cmap, cid, u))
+        choice[u] = v  # a singleton's loop choice is its original self-loop
     return Situation.of(g, choice)
 
 

@@ -7,6 +7,13 @@ move, then lets the players alternate uniform best improvements. A sum of
 per-vertex values acts as the termination potential: it ranges over finitely
 many integers once costs are normalized and strictly decreases from the
 second improvement on. The value tables and their check live in ``reductions``.
+
+Costs are compared as ints on the game's one integer cost table
+(``TerminalGame._int_costs``): every terminal and infinite-play cost times
+one game-wide scale S, the LCM of their denominators. Value tables, play
+costs and the potential are in units of 1/S. The rank-normalized game the
+dynamics run on has S = 1, and ``UneSolve.nu_trajectory`` and every error
+message are converted back to game units.
 """
 
 from __future__ import annotations
@@ -70,18 +77,20 @@ def _assemble_strategy(
     return strategy
 
 
-def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[Fraction]:
-    """Each non-terminal's play cost for its controller, in `nonterminals` order."""
+def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[int]:
+    """Each non-terminal's play cost for its controller times the game's scale,
+    in `nonterminals` order."""
     g = game.graph
-    return [
-        game.cycle_cost(g.owner[v]) if ends[v] is None
-        else game.cost_at(ends[v], g.owner[v])
-        for v in g.nonterminals
-    ]
+    rows = game._int_costs[1]
+    return [rows[g.owner[v] - 1][ends[v]] for v in g.nonterminals]
 
 
 def uniform_best_improvement(
-    game: TerminalGame, situation: Situation, player: int
+    game: TerminalGame,
+    situation: Situation,
+    player: int,
+    *,
+    ends: list[int | None] | None = None,
 ) -> Situation | None:
     """The player's uniform best response that changes only improving moves.
 
@@ -89,12 +98,16 @@ def uniform_best_improvement(
     best response. Otherwise the returned situation attains the optimal
     value at every vertex while keeping the player's move wherever the value
     does not strictly improve; both clauses are re-checked on the outcomes
-    of the plays.
+    of the plays. A caller that holds the situation's outcomes
+    (``play.outcomes``) passes them as ``ends``, so they are not evaluated
+    again.
     """
     g = game.graph
     tables = response_tables(game, situation, player)
-    current = _play_costs(game, outcomes(g, situation), player)
-    if all(c == best for c, best in zip(current, tables.value)):
+    if ends is None:
+        ends = outcomes(g, situation)
+    current = _play_costs(game, ends, player)
+    if current == list(tables.value):
         return None
     keep = frozenset(
         v for v in g.nonterminals
@@ -102,10 +115,11 @@ def uniform_best_improvement(
     )
     strategy = _assemble_strategy(game, situation, tables, keep_at=keep)
     improved = situation.replace(strategy)
-    _check_table_values(game, improved, [tables], g.nonterminals)
+    after = _check_table_values(game, improved, [tables], g.nonterminals)
+    cost = game._int_costs[1][player - 1]
     for v in g.nonterminals:
         if g.owner[v] == player and improved[v] != situation[v]:
-            if not tables.value[v] < current[v]:
+            if not cost[after[v]] < current[v]:
                 raise VerificationFailed(
                     f"move changed at vertex {v} without strict improvement"
                 )
@@ -194,6 +208,15 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
     number of improvements can never exceed |V| * |V_T| of the preprocessed
     game; violations raise PotentialNotDecreased. The lifted result is
     re-verified against per-player value tables on the original game.
+
+    The rounds compare ints on the rank-normalized game's cost table, and
+    each round hands the incumbent's outcomes to ``uniform_best_improvement``
+    instead of evaluating them again. The player who just improved is not
+    asked again before the other player has moved: its reply was certified
+    optimal at every vertex against the other player's moves, and its value
+    tables depend only on those moves, so the round would rebuild the same
+    tables and return None. An improvement therefore counts as the first of
+    the two idle rounds that end the dynamics.
     """
     g = game.graph
     prep = une_preprocess(game)  # raises TWO and SYM
@@ -208,34 +231,41 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
 
     work = _normalize_costs(prep.game)
     wg = work.graph
+    scale = work._int_costs[0]
+
+    def units(x: int) -> Fraction:
+        return Fraction(x, scale)
+
     sigma = initial_basic_situation(work, prep.unreachable)
     # The potential nu sums every non-terminal's value for its controller.
-    held = _owner_costs(work, outcomes(wg, sigma))
-    trajectory = [sum(held, Fraction(0))]
+    ends = outcomes(wg, sigma)
+    held = _owner_costs(work, ends)
+    trajectory = [sum(held)]
     steps: list[tuple[int, tuple[int, ...]]] = []
     bound = wg.n_vertices * len(wg.terminals)
 
     player = 1
     idle = 0
     while idle < 2:
-        improved = uniform_best_improvement(work, sigma, player)
+        improved = uniform_best_improvement(work, sigma, player, ends=ends)
         if improved is None:
             idle += 1
             player = 3 - player
             continue
-        idle = 0
+        idle = 1  # the improver's own next round is certified idle
         ends = outcomes(wg, improved)
         values = _owner_costs(work, ends)
-        nu = sum(values, Fraction(0))
+        nu = sum(values)
         if len(steps) >= 1:
             if not nu < trajectory[-1]:
                 raise PotentialNotDecreased(
-                    f"potential went {trajectory[-1]} -> {nu} on improvement {len(steps) + 1}"
+                    f"potential went {units(trajectory[-1])} -> {units(nu)} "
+                    f"on improvement {len(steps) + 1}"
                 )
             for v, before, after in zip(wg.nonterminals, held, values):
                 if after > before:
                     raise PotentialNotDecreased(
-                        f"value at vertex {v} degraded {before} -> {after} "
+                        f"value at vertex {v} degraded {units(before)} -> {units(after)} "
                         f"on improvement {len(steps) + 1}"
                     )
         for v in wg.nonterminals:
@@ -263,6 +293,6 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         situation=lifted,
         prep=prep,
         rounds=len(steps),
-        nu_trajectory=tuple(trajectory),
+        nu_trajectory=tuple(map(units, trajectory)),
         steps=tuple(steps),
     )

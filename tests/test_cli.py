@@ -320,6 +320,14 @@ _HOSTILE = {
                    "edge (False, 1) references unknown vertex"),
     "players-true": (_chain_dict(players=True), "players must be a positive integer, got True"),
 }
+# terminal_costs keys that int() reads, or that name no terminal: only "2" names chain's one
+_HOSTILE.update(
+    (f"terminal-key-{name}",
+     (_chain_dict(terminal_costs={"2": ["-1", "-1"], key: ["-2", "-2"]}),
+      f"terminal_costs key {key!r} does not name a terminal vertex"))
+    for name, key in [("non-terminal", "0"), ("no-vertex", "99"), ("negative", "-1"),
+                      ("space", " 2"), ("underscore", "2_0"), ("leading-zero", "02")]
+)
 
 
 @pytest.mark.parametrize("argv", [("validate",), ("solve", "une"), ("oracle", "ne")],

@@ -1,10 +1,15 @@
-"""Metamorphic properties of the Theorem-1 solver, checked with hypothesis.
+"""Metamorphic properties of the solvers, checked with hypothesis.
 
-Every comparison the solver makes is between sums of one player's costs,
-so scaling all costs by one positive number must leave its output exactly
-as it is. Scaling each player's costs separately, or shifting them by a
-potential that is zero on the only terminal, changes the output but not
+Every comparison the Theorem-1 solver makes is between sums of one player's
+costs, so scaling all costs by one positive number must leave its output
+exactly as it is. Scaling each player's costs separately, or shifting them
+by a potential that is zero on the only terminal, changes the output but not
 the set of equilibria, so the result must still certify on the input game.
+
+The terminal-game solvers compare single costs of one player on an integer
+table scaled by the LCM of the cost denominators. Scaling every cost by one
+positive rational with a new denominator changes that scale but no
+comparison, so Theorems 2 and 3 must return exactly what they did.
 """
 
 from __future__ import annotations
@@ -17,9 +22,12 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import genutil  # noqa: E402
 from pathgames import oracle  # noqa: E402
-from pathgames.model import SPGame, sp_game  # noqa: E402
+from pathgames.model import SPGame, TerminalGame, sp_game  # noqa: E402
 from pathgames.spne import solve_theorem1  # noqa: E402
+from pathgames.terminalne import solve_theorem2  # noqa: E402
+from pathgames.une import solve_theorem3  # noqa: E402
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=30, database=None)
 
@@ -94,3 +102,34 @@ def test_potential_shift_keeps_equilibria(game, raw):
         game, lambda u, v, p: game.cost(u, v, p) + pot[p - 1][u] - pot[p - 1][v]
     )
     assert oracle.verify_ne_sp(game, solve_theorem1(shifted, transform=True)).ok
+
+
+def _scale_terminal(game: TerminalGame, factor: Fraction) -> TerminalGame:
+    return TerminalGame(
+        game.graph,
+        {w: tuple(c * factor for c in cs) for w, cs in game.terminal_cost.items()},
+        tuple(c * factor for c in game.infinite_cost),
+    )
+
+
+@SETTINGS
+@given(
+    st.randoms(use_true_random=False),
+    st.booleans(),
+    st.sampled_from([Fraction(7, 3), Fraction(5, 7), Fraction(13, 11)]),
+)
+def test_scaling_terminal_costs_keeps_theorems_2_and_3(rng, ring, factor):
+    if ring:
+        game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+    else:
+        game = genutil.random_symmetric_terminal(rng, max_v=9, ciw=True)
+    scaled = _scale_terminal(game, factor)
+    # the integer table runs on a new scale
+    assert scaled._int_costs[0] % factor.denominator == 0
+    assert game._int_costs[0] % factor.denominator != 0
+    assert solve_theorem2(scaled).moves == solve_theorem2(game).moves
+    before, after = solve_theorem3(game), solve_theorem3(scaled)
+    assert after.situation == before.situation
+    assert after.rounds == before.rounds
+    assert after.steps == before.steps
+    assert after.nu_trajectory == before.nu_trajectory

@@ -204,6 +204,23 @@ def test_broken_construction_fails_verification(chain, monkeypatch):
         solve_theorem2(chain)
 
 
+def test_failed_check_reports_costs_in_game_units(monkeypatch):
+    # the check compares ints scaled by 12 here; its message must not show them
+    game = terminal_game(
+        [1, 2, None], [(0, 1), (1, 0), (1, 2)], {2: ("-1/4", "-7/4")},
+        n_players=2, infinite_cost=("1/3", "1/3"), initial=0,
+    )
+    assert game._int_costs[0] == 12
+    monkeypatch.setattr(
+        terminalne, "_solve_contracted", lambda game, v0: lowest_id_situation(game.graph)
+    )
+    with pytest.raises(VerificationFailed) as exc:
+        solve_theorem2(game)
+    assert str(exc.value) == (
+        "player 2 from vertex 0: the play costs 1/3, the one-player optimum is -7/4"
+    )
+
+
 def test_theorems_2_and_3_share_one_component_pass(monkeypatch):
     sccs = genutil.count_calls(monkeypatch, graphalg, "strongly_connected_components")
     rng = random.Random(97)

@@ -12,8 +12,8 @@ import pytest
 
 import genutil
 import pathgames
-from pathgames import graphalg, oracle, play
-from pathgames.errors import ConditionViolated
+from pathgames import graphalg, oracle, play, une
+from pathgames.errors import ConditionViolated, PotentialNotDecreased
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import _check_table_values, une_preprocess
@@ -36,7 +36,13 @@ def uniform_best_response(game, situation, player):
     tables = response_tables(game, situation, player)
     strategy = _assemble_strategy(game, situation, tables)
     _check_table_values(game, situation.replace(strategy), [tables], game.graph.nonterminals)
-    return strategy, tables.value
+    return strategy, game_units(game, tables)
+
+
+def game_units(game, tables):
+    """The table's values as Fractions; the tables hold costs times the game's scale."""
+    scale = game._int_costs[0]
+    return tuple(Fraction(c, scale) for c in tables.value)
 
 
 def brute_force_values(game, situation, player):
@@ -159,8 +165,9 @@ def test_response_matches_enumeration_on_random_games():
             _, values = uniform_best_response(game, sigma, player)
             tables = response_tables(game, sigma, player)
             brute = brute_force_values(game, sigma, player)
+            tabled = game_units(game, tables)
             for v in range(g.n_vertices):
-                assert values[v] == tables.value[v] == brute[v]
+                assert values[v] == tabled[v] == brute[v]
                 if tables.layer[v] is None and reaches_terminal(g, sigma, player, v):
                     assert brute[v] == game.cycle_cost(player)
                     cycling_beats_terminal += 1
@@ -352,6 +359,54 @@ def test_solve_theorem3_evaluates_all_starts_in_one_pass(monkeypatch):
         assert len(sccs) == 1
         improved += result.rounds > 0
     assert improved >= 3
+
+
+def test_solve_theorem3_evaluates_each_situation_at_most_twice(monkeypatch):
+    # Each round gets the incumbent's outcomes from the caller, and the
+    # player who just improved is not asked again, so a solve makes one
+    # closing idle round (two when nobody improves) and evaluates the start,
+    # each improvement (its check and the potential) and the lifted result.
+    rounds = genutil.count_calls(monkeypatch, une, "uniform_best_improvement")
+    passes = genutil.count_calls(monkeypatch, play, "outcomes")
+    rng = random.Random(95)
+    improved = 0
+    for k in range(24):
+        if k % 2:
+            game = genutil.random_symmetric_terminal(rng, max_v=9, ciw=True)
+        else:
+            game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+        rounds.clear()
+        passes.clear()
+        result = solve_theorem3(game)
+        assert len(rounds) == max(result.rounds + 1, 2) <= result.rounds + 2
+        assert len(passes) <= 2 * result.rounds + 2
+        improved += result.rounds >= 2
+    assert improved >= 5
+
+
+def test_stalled_improvement_breaks_the_potential(monkeypatch):
+    # after the first improvement, report the incumbent itself as improved:
+    # the potential does not go down, and the message shows its values
+    real = une.uniform_best_improvement
+    applied = []
+
+    def stalling(game, situation, player, **kwargs):
+        if applied:
+            return situation
+        improved = real(game, situation, player, **kwargs)
+        if improved is not None:
+            applied.append(improved)
+        return improved
+
+    rng = random.Random(99)
+    game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+    while solve_theorem3(game).rounds < 2:
+        game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+    nu = solve_theorem3(game).nu_trajectory[1]
+    monkeypatch.setattr(une, "uniform_best_improvement", stalling)
+    with pytest.raises(PotentialNotDecreased) as exc:
+        solve_theorem3(game)
+    assert str(exc.value) == f"potential went {nu} -> {nu} on improvement 2"
 
 
 def test_terminal_path_checks_raise_under_dash_O():
