@@ -152,16 +152,21 @@ def _cmd_examples(args) -> int:
 
 
 def _parse_situation(game: Game, text: str) -> Situation:
-    choice = {}
+    """The listed moves, each an edge; unlisted vertices choose no move."""
+    g = game.graph
+    moves: list[int | None] = [None] * g.n_vertices
     for part in text.split(","):
         if not part:
             continue
         try:
             u, v = part.split(":")
-            choice[_resolve_vertex(game, u.strip())] = _resolve_vertex(game, v.strip())
         except ValueError as exc:
             raise GameFormatError(f"bad situation entry {part!r}; use from:to") from exc
-    return Situation.of(game.graph, choice)
+        u, v = _resolve_vertex(game, u.strip()), _resolve_vertex(game, v.strip())
+        if (u, v) not in g.edge_set:
+            raise GameFormatError(f"situation entry {part!r} is not a move")
+        moves[u] = v
+    return Situation(tuple(moves))
 
 
 def _cmd_export_dot(args) -> int:

@@ -216,7 +216,8 @@ _PLAYER_COLORS = ["lightblue", "lightcoral", "orange", "palegreen", "plum", "kha
 
 
 def to_dot(game: Game, situation: Situation | None = None) -> str:
-    """Graphviz rendering: owners as node colors, situation moves in bold."""
+    """Graphviz rendering: owners as node colors, the situation's moves (any
+    subset of edges) in bold, names with backslashes and quotes escaped."""
     g = game.graph
     lines = ["digraph game {", "  rankdir=LR;"]
     for v in range(g.n_vertices):
@@ -226,8 +227,9 @@ def to_dot(game: Game, situation: Situation | None = None) -> str:
             shape = "circle"
             color = _PLAYER_COLORS[(g.owner[v] - 1) % len(_PLAYER_COLORS)]
         marker = ", peripheries=2" if v == g.initial else ""
+        label = g.names[v].replace("\\", "\\\\").replace('"', '\\"')
         lines.append(
-            f'  v{v} [label="{g.names[v]}", shape={shape}, style=filled, '
+            f'  v{v} [label="{label}", shape={shape}, style=filled, '
             f"fillcolor={color}{marker}];"
         )
     chosen = set(situation.items()) if situation is not None else set()

@@ -162,6 +162,16 @@ class GameGraph:
         return self.names[v]
 
 
+def _scaled_rows(costs: list[tuple], n_players: int) -> tuple[int, tuple[dict, ...]]:
+    """S, the LCM of all denominators of keyed cost vectors, and per player
+    each key's cost times S: sums, comparisons and ties match the rationals'."""
+    scale = math.lcm(*{c.denominator for _, cs in costs for c in cs})
+    return scale, tuple(
+        {key: cs[i].numerator * (scale // cs[i].denominator) for key, cs in costs}
+        for i in range(n_players)
+    )
+
+
 @dataclass(frozen=True)
 class SPGame:
     """Shortest path game: per-player cost on every move."""
@@ -176,16 +186,11 @@ class SPGame:
     def _int_costs(self) -> tuple[int, tuple[dict[tuple[int, int], int], ...]]:
         """One game-wide scale S > 0 and, per player, every move's cost times S.
 
-        S is the LCM of all cost denominators (or the scale of the game this
-        one was merged from), so every sum, comparison and tie on these ints
-        matches the rational one. Computed once per game.
+        Built by ``_scaled_rows`` from the edge costs (a merged game takes
+        the scale and rows of the game it was merged from). Computed once
+        per game.
         """
-        costs = self.edge_cost
-        scale = math.lcm(*{c.denominator for cs in costs.values() for c in cs})
-        return scale, tuple(
-            {e: cs[i].numerator * (scale // cs[i].denominator) for e, cs in costs.items()}
-            for i in range(self.graph.n_players)
-        )
+        return _scaled_rows(list(self.edge_cost.items()), self.graph.n_players)
 
     def _int_weight(self, player: int) -> graphalg.Weight:
         """The player's scaled integer costs as a graph kernel weight."""
@@ -223,18 +228,13 @@ class TerminalGame:
     def _int_costs(self) -> tuple[int, tuple[dict[int | None, int], ...]]:
         """One game-wide scale S > 0 and, per player, each outcome's cost times S.
 
-        S is the LCM of the denominators of all terminal and infinite-play
-        costs. A row is keyed by outcome as ``play.outcomes`` reports it: a
-        terminal id for its terminal cost, None for the infinite-play cost.
-        Every comparison and tie on these ints matches the rational one.
-        Computed once per game.
+        Built by ``_scaled_rows`` from the terminal and infinite-play costs.
+        A row is keyed by outcome as ``play.outcomes`` reports it: a terminal
+        id for its terminal cost, None for the infinite-play cost. Computed
+        once per game.
         """
         costs = [*self.terminal_cost.items(), (None, self.infinite_cost)]
-        scale = math.lcm(*{c.denominator for _, cs in costs for c in cs})
-        return scale, tuple(
-            {end: cs[i].numerator * (scale // cs[i].denominator) for end, cs in costs}
-            for i in range(self.graph.n_players)
-        )
+        return _scaled_rows(costs, self.graph.n_players)
 
     def best_terminal(self, v: int) -> int | None:
         """Cheapest terminal move of v's controller, lowest id on ties.

@@ -140,6 +140,7 @@ class NormalForm:
         return ",".join(f"{graph.name(v)}->{graph.name(t)}" for v, t in pairs)
 
     def to_csv(self, graph: GameGraph) -> str:
+        """One row per situation; a strategy label is one quoted field."""
         n = len(self.axes)
         header = (
             [f"strategy_p{i}" for i in range(1, n + 1)]
@@ -149,7 +150,7 @@ class NormalForm:
         lines = [",".join(header)]
         for index in sorted(self.cells):
             labels = [
-                '"%s"' % self.strategy_label(p, index[p - 1], graph)
+                '"%s"' % self.strategy_label(p, index[p - 1], graph).replace('"', '""')
                 for p in range(1, n + 1)
             ]
             costs = [str(c) for c in self.cells[index]]

@@ -10,7 +10,6 @@ games, their per-vertex value tables and the one equilibrium check on them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -121,30 +120,33 @@ def terminal_to_sp(game: TerminalGame) -> SpReduction:
     negative, and raises CIWViolated otherwise.
     """
     g = game.graph
-    bad: list[tuple[int, int | None]] = []
-    for player in g.players:
-        if game.cycle_cost(player) != 0:
-            bad.append((player, None))
-        for w in g.terminals:
-            if game.cost_at(w, player) >= game.cycle_cost(player):
-                bad.append((player, w))
-    if bad:
+    if bad := _ciw_violations(game):
         raise CIWViolated(bad)
 
-    values = [game.cost_at(w, p) for w in g.terminals for p in g.players]
-    scale = math.lcm(*(v.denominator for v in values)) if values else 1
-    big_m = 1 + max((abs(int(v * scale)) for v in values), default=0)
+    # with zero infinite-play costs, the game's own scale is the terminals'
+    scale, rows = game._int_costs
+    big_m = 1 + max((abs(row[w]) for row in rows for w in g.terminals), default=0)
     edges = g.sorted_edges()
     step = Fraction(1, 2 * len(edges))
     cost = {}
     for u, v in edges:
         if g.is_terminal(v):
-            cost[(u, v)] = tuple(
-                Fraction(big_m + int(game.cost_at(v, p) * scale)) for p in g.players
-            )
+            cost[(u, v)] = tuple(Fraction(big_m + row[v]) for row in rows)
         else:
             cost[(u, v)] = (step,) * g.n_players
     return SpReduction(SPGame(g, cost), scale, big_m)
+
+
+def _ciw_violations(game: TerminalGame) -> list[tuple[int, int | None]]:
+    """Each (player, None) with a nonzero infinite-play cost and each
+    (player, terminal) no cheaper than cycling, players in order."""
+    g = game.graph
+    bad: list[tuple[int, int | None]] = []
+    for player, row in zip(g.players, game._int_costs[1]):
+        if row[None] != 0:
+            bad.append((player, None))
+        bad.extend((player, w) for w in g.terminals if row[w] >= row[None])
+    return bad
 
 
 def one_player_out(

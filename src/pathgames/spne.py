@@ -31,7 +31,6 @@ from .model import (
     Situation,
     _edge_positive,
     is_edge_symmetric,
-    is_positive,
     lowest_id_situation,
     merge_terminals,
 )
@@ -360,18 +359,18 @@ def solve_theorem1(
         raise NotSymmetric("the graph is not edge-symmetric")
     working = game
     if not _edge_positive(game):
-        if not transform:
-            raise NotPositive(
-                "edge costs are not all positive"
-                + ("" if is_positive(game).cycle_positive else " and neither are cycle sums")
-            )
-        # The reweighting runs the one cycle pass of the solve.
+        # The reweighting runs the one cycle pass of the solve; without
+        # ``transform`` it only tells the two refusals apart.
         try:
             working = gallai_transform(game).game
         except NonPositiveCycle as exc:
             raise NotPositive(
                 "edge costs are not all positive and neither are cycle sums"
             ) from exc
+        if not transform:
+            raise NotPositive("edge costs are not all positive")
+    if not g.terminals:
+        return lowest_id_situation(g)
 
     merged, mmap = merge_terminals(working)
     dec = decompose(merged)

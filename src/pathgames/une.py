@@ -3,17 +3,15 @@
 The solver preprocesses the game (contraction, one terminal move per vertex,
 marking of terminal-free regions), builds a starting situation in which
 every play is finite and every terminal-adjacent vertex takes its terminal
-move, then lets the players alternate uniform best improvements. A sum of
-per-vertex values acts as the termination potential: it ranges over finitely
-many integers once costs are normalized and strictly decreases from the
-second improvement on. The value tables and their check live in ``reductions``.
+move, then lets the players alternate uniform best improvements on the
+preprocessed game. The value tables and their check live in ``reductions``.
 
-Costs are compared as ints on the game's one integer cost table
-(``TerminalGame._int_costs``): every terminal and infinite-play cost times
-one game-wide scale S, the LCM of their denominators. Value tables, play
-costs and the potential are in units of 1/S. The rank-normalized game the
-dynamics run on has S = 1, and ``UneSolve.nu_trajectory`` and every error
-message are converted back to game units.
+Each step compares one player's costs by order or equality only, as ints on
+the game's integer cost table (``TerminalGame._int_costs``: every cost times
+one game-wide scale). The termination potential sums every non-terminal's
+rank for its controller, which only that order decides: a terminal's rank
+in [-|V_T|, -1], or 0 for cycling. It ranges over finitely many integers and
+strictly decreases from the second improvement on.
 """
 
 from __future__ import annotations
@@ -33,6 +31,7 @@ from .reductions import (
     ResponseTables,
     UnePrep,
     _check_table_values,
+    _ciw_violations,
     _play_costs,
     response_tables,
     une_preprocess,
@@ -77,12 +76,20 @@ def _assemble_strategy(
     return strategy
 
 
-def _owner_costs(game: TerminalGame, ends: list[int | None]) -> list[int]:
-    """Each non-terminal's play cost for its controller times the game's scale,
-    in `nonterminals` order."""
+def _ranks(game: TerminalGame) -> tuple[dict[int | None, int], ...]:
+    """Per player, each outcome's rank: a terminal's in [-|V_T|, -1], cycling 0.
+
+    Terminals rank by the player's cost, equal costs sharing a rank. Only the
+    per-player preference order matters to equilibria and to the improvement
+    dynamics, and ranks give the potential its integer range.
+    """
     g = game.graph
-    rows = game._int_costs[1]
-    return [rows[g.owner[v] - 1][ends[v]] for v in g.nonterminals]
+    ranks = []
+    for row in game._int_costs[1]:
+        distinct = sorted({row[w] for w in g.terminals})
+        rank = {c: k - len(distinct) for k, c in enumerate(distinct)}
+        ranks.append({w: rank[row[w]] for w in g.terminals} | {None: 0})
+    return tuple(ranks)
 
 
 def uniform_best_improvement(
@@ -164,32 +171,15 @@ def initial_basic_situation(
     return Situation.of(g, choice)
 
 
-def _normalize_costs(game: TerminalGame) -> TerminalGame:
-    """Rescale each player's terminal costs to integers in [-|V_T|, -1].
-
-    Only the per-player preference order matters to equilibria and to the
-    improvement dynamics, and ranks give the potential its integer range.
-    """
-    g = game.graph
-    new_costs: dict[int, list[Fraction]] = {w: [] for w in g.terminals}
-    for p in g.players:
-        distinct = sorted({game.cost_at(w, p) for w in g.terminals})
-        rank = {c: Fraction(k - len(distinct)) for k, c in enumerate(distinct)}
-        for w in g.terminals:
-            new_costs[w].append(rank[game.cost_at(w, p)])
-    return TerminalGame(
-        g, {w: tuple(cs) for w, cs in new_costs.items()}, game.infinite_cost
-    )
-
-
 @dataclass(frozen=True)
 class UneSolve:
     """Outcome of the uniform-equilibrium computation.
 
-    ``situation`` lives on the original game. The trajectory and steps are
-    recorded on the preprocessed rank-normalized game the dynamics ran on:
-    ``nu_trajectory[0]`` is the starting potential and each following entry
-    is the potential after one applied improvement by ``steps[k]``.
+    ``situation`` lives on the original game. The steps name vertices of
+    the preprocessed game the dynamics ran on (``prep.game``), and the
+    trajectory is the rank potential: ``nu_trajectory[0]`` is its starting
+    value and each following entry is its value after one applied
+    improvement by ``steps[k]``.
     """
 
     situation: Situation
@@ -209,7 +199,7 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
     game; violations raise PotentialNotDecreased. The lifted result is
     re-verified against per-player value tables on the original game.
 
-    The rounds compare ints on the rank-normalized game's cost table, and
+    The rounds compare ints on the preprocessed game's cost table, and
     each round hands the incumbent's outcomes to ``uniform_best_improvement``
     instead of evaluating them again. The player who just improved is not
     asked again before the other player has moved: its reply was certified
@@ -220,26 +210,24 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
     """
     g = game.graph
     prep = une_preprocess(game)  # raises TWO and SYM
-    for p in g.players:
-        if game.cycle_cost(p) != 0:
-            raise ConditionViolated("CIW", f"player {p} infinite-play cost is nonzero")
-        for w in g.terminals:
-            if game.cost_at(w, p) >= 0:
-                raise ConditionViolated(
-                    "CIW", f"terminal {w} is not better than cycling for player {p}"
-                )
+    if bad := _ciw_violations(game):
+        p, w = bad[0]
+        raise ConditionViolated("CIW", (
+            f"player {p} infinite-play cost is nonzero" if w is None
+            else f"terminal {w} is not better than cycling for player {p}"
+        ))
 
-    work = _normalize_costs(prep.game)
+    work = prep.game
     wg = work.graph
-    scale = work._int_costs[0]
+    ranks = _ranks(work)
 
-    def units(x: int) -> Fraction:
-        return Fraction(x, scale)
+    def owner_ranks(ends: list[int | None]) -> list[int]:
+        """The potential's terms: each non-terminal's rank for its controller."""
+        return [ranks[wg.owner[v] - 1][ends[v]] for v in wg.nonterminals]
 
     sigma = initial_basic_situation(work, prep.unreachable)
-    # The potential nu sums every non-terminal's value for its controller.
     ends = outcomes(wg, sigma)
-    held = _owner_costs(work, ends)
+    held = owner_ranks(ends)
     trajectory = [sum(held)]
     steps: list[tuple[int, tuple[int, ...]]] = []
     bound = wg.n_vertices * len(wg.terminals)
@@ -254,18 +242,18 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
             continue
         idle = 1  # the improver's own next round is certified idle
         ends = outcomes(wg, improved)
-        values = _owner_costs(work, ends)
+        values = owner_ranks(ends)
         nu = sum(values)
         if len(steps) >= 1:
             if not nu < trajectory[-1]:
                 raise PotentialNotDecreased(
-                    f"potential went {units(trajectory[-1])} -> {units(nu)} "
+                    f"potential went {trajectory[-1]} -> {nu} "
                     f"on improvement {len(steps) + 1}"
                 )
             for v, before, after in zip(wg.nonterminals, held, values):
                 if after > before:
                     raise PotentialNotDecreased(
-                        f"value at vertex {v} degraded {units(before)} -> {units(after)} "
+                        f"value at vertex {v} degraded {before} -> {after} "
                         f"on improvement {len(steps) + 1}"
                     )
         for v in wg.nonterminals:
@@ -293,6 +281,6 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         situation=lifted,
         prep=prep,
         rounds=len(steps),
-        nu_trajectory=tuple(map(units, trajectory)),
+        nu_trajectory=tuple(map(Fraction, trajectory)),
         steps=tuple(steps),
     )

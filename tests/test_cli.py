@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -128,6 +129,33 @@ def test_solve_sp_ne_requires_positivity(capsys, example_file):
         assert "neither are cycle sums" in err
 
 
+def test_solve_sp_ne_refuses_negative_edges_on_positive_cycles(capsys, tmp_path):
+    # cycle sums are positive, so only the edge condition fails, and only
+    # --transform solves the game
+    path = tmp_path / "cycle-positive.json"
+    path.write_text(json.dumps(_CYCLE_POSITIVE))
+    assert run(capsys, "solve", "sp-ne", str(path)) == (
+        3, "", "error: edge costs are not all positive\n"
+    )
+    code, out, err = run(capsys, "solve", "sp-ne", str(path), "--transform")
+    assert (code, err) == (0, "")
+    assert out.startswith("situation: a->t b->a\n")
+
+
+def test_solve_sp_ne_without_terminals(capsys, tmp_path):
+    # every play cycles, so the all-lowest-id situation is returned, as the
+    # oracle's one equilibrium
+    path = tmp_path / "no-terminal.json"
+    path.write_text(json.dumps(_NO_TERMINAL))
+    assert run(capsys, "solve", "sp-ne", str(path)) == (0, (
+        "situation: a->b b->a\n"
+        "play: a -> (cycle: a -> b -> a)\n"
+        "cost player 1: +inf\n"
+        "cost player 2: +inf\n"
+    ), "")
+    assert run(capsys, "oracle", "ne", str(path)) == (0, "1 NE found\na->b b->a\n", "")
+
+
 def test_solve_terminal_ne_g2(capsys, example_file):
     code, out, _ = run(capsys, "solve", "terminal-ne", example_file("g2"))
     assert code == 0
@@ -145,6 +173,19 @@ def test_solve_une_trace_output(capsys, example_file):
     code, out, _ = run(capsys, "solve", "une", example_file("chain"), "--trace")
     assert code == 0
     assert "nu:" in out
+
+
+def test_solve_une_trace_prints_every_step(capsys, tmp_path):
+    # two improvements, one by each player, each with its potential
+    path = tmp_path / "two-rounds.json"
+    path.write_text(json.dumps(_TWO_ROUNDS))
+    assert run(capsys, "solve", "une", str(path), "--trace") == (0, (
+        "situation: p->q q->r r->t2 s->t2\n"
+        "rounds: 2\n"
+        "nu: -6 -7 -8\n"
+        "step 1: player 1 nu=-7 changed=q\n"
+        "step 2: player 2 nu=-8 changed=p\n"
+    ), "")
 
 
 def test_solve_une_rejects_asymmetric(capsys, example_file):
@@ -173,6 +214,52 @@ def test_export_dot(capsys, example_file):
                        "--situation", "v1:v2,v2:t")
     assert code == 0
     assert out.count("penwidth") == 2
+
+
+def test_export_dot_readme_example_bolds_only_listed_moves(capsys, example_file):
+    # README's command lists two moves of g6s and leaves four vertices out
+    code, out, err = run(capsys, "export-dot", example_file("g6s"),
+                         "--situation", "u1:a1,u2:u1")
+    assert (code, err) == (0, "")
+    assert [line for line in out.splitlines() if "penwidth" in line] == [
+        '  v0 -> v6 [label="4, 6", penwidth=2.5, style=bold];',
+        '  v1 -> v0 [label="7, 7", penwidth=2.5, style=bold];',
+    ]
+
+
+def test_export_dot_situation_entry_must_be_a_move(capsys, example_file):
+    code, out, err = run(capsys, "export-dot", example_file("g6s"), "--situation", "u1:u3")
+    assert (code, out, err) == (2, "", "error: situation entry 'u1:u3' is not a move\n")
+
+
+def _quoted_chain(tmp_path):
+    data = _chain_dict()
+    data["vertices"][0]["name"] = 'a"b'
+    data["vertices"][1]["name"] = "c\\d"
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_export_dot_escapes_names(capsys, tmp_path):
+    code, out, _ = run(capsys, "export-dot", _quoted_chain(tmp_path))
+    assert code == 0
+    assert out.splitlines()[2:4] == [
+        '  v0 [label="a\\"b", shape=circle, style=filled, fillcolor=lightblue, '
+        "peripheries=2];",
+        '  v1 [label="c\\\\d", shape=circle, style=filled, fillcolor=lightcoral];',
+    ]
+
+
+def test_oracle_normal_form_csv_quotes_names(capsys, tmp_path):
+    target = tmp_path / "nf.csv"
+    code, _, _ = run(capsys, "oracle", "normal-form", _quoted_chain(tmp_path), "--csv", str(target))
+    assert code == 0
+    with open(target, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["strategy_p1", "strategy_p2", "cost_p1", "cost_p2", "ne"]
+    assert [row[0] for row in rows[1:]] == ['a"b->c\\d'] * (len(rows) - 1)
+    assert {len(row) for row in rows} == {5}
 
 
 def test_byte_identical_output(capsys, example_file):
@@ -218,6 +305,37 @@ _SP_STUCK = {
     "initial": 0,
 }
 _STUCK_VERTEX = {"id": 3, "name": "x", "owner": 2}
+# edge-symmetric, a negative edge, every cycle sum positive
+_CYCLE_POSITIVE = {
+    "players": 3,
+    "vertices": [{"id": 0, "name": "a", "owner": 1},
+                 {"id": 1, "name": "b", "owner": 2},
+                 {"id": 2, "name": "t", "owner": "T"}],
+    "edges": [{"from": 0, "to": 1, "costs": ["-1", "2", "-2"]},
+              {"from": 1, "to": 0, "costs": ["3", "1", "5"]},
+              {"from": 0, "to": 2, "costs": ["1", "1", "1"]},
+              {"from": 1, "to": 2, "costs": ["2", "2", "2"]}],
+    "initial": 0,
+}
+_NO_TERMINAL = {
+    "players": 2,
+    "vertices": [{"id": 0, "name": "a", "owner": 1}, {"id": 1, "name": "b", "owner": 2}],
+    "edges": [{"from": 0, "to": 1, "costs": ["1", "1"]},
+              {"from": 1, "to": 0, "costs": ["1", "1"]}],
+    "initial": 0,
+}
+# Theorem 3 takes two improvements here
+_TWO_ROUNDS = {
+    "players": 2,
+    "vertices": [{"id": 0, "name": "p", "owner": 2}, {"id": 1, "name": "q", "owner": 1},
+                 {"id": 2, "name": "r", "owner": 2}, {"id": 3, "name": "s", "owner": 2},
+                 {"id": 4, "name": "t1", "owner": "T"}, {"id": 5, "name": "t2", "owner": "T"}],
+    "edges": [{"from": u, "to": v} for u, v in [
+        (0, 1), (0, 4), (1, 0), (1, 2), (1, 3), (2, 1), (2, 5), (3, 1), (3, 5)]],
+    "terminal_costs": {"4": ["-18/25", "-26/25"], "5": ["-211/50", "-403/100"]},
+    "infinite_costs": ["0", "0"],
+    "initial": 2,
+}
 _CHAIN_EDGES = [{"from": 0, "to": 1}, {"from": 1, "to": 0}, {"from": 1, "to": 2}]
 
 
@@ -361,3 +479,26 @@ def test_huge_decimal_exponent_is_a_parse_error(tmp_path, cost):
     )
     assert (result.returncode, result.stdout) == (2, "")
     assert result.stderr == f"error: not a rational: {cost!r}\n"
+
+
+_UNLOADABLE = {
+    "edge-no-endpoint": (json.dumps(_chain_dict(edges=[{"from": 0}])),
+                         "edge missing endpoint: {{'from': 0}}"),
+    "terminal-cost-arity": (json.dumps(_chain_dict(terminal_costs={"2": ["-1"]})),
+                            "terminal 2 needs 2 costs"),
+    "infinite-cost-arity": (json.dumps(_chain_dict(infinite_costs=["0"])),
+                            "infinite_costs has wrong arity"),
+    "missing-file": (None, "cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+    "top-level-array": ("[]", "{path}: top level must be an object"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNLOADABLE))
+def test_unloadable_files_are_parse_errors(capsys, tmp_path, name):
+    text, message = _UNLOADABLE[name]
+    path = tmp_path / "game.json"
+    if text is not None:
+        path.write_text(text)
+    assert run(capsys, "validate", str(path)) == (
+        2, "", f"error: {message.format(path=path)}\n"
+    )

@@ -376,6 +376,21 @@ def test_solve_theorem1_unreachable_terminal():
     assert oracle.verify_ne_sp(game, situation).ok
 
 
+def test_solve_theorem1_without_terminals():
+    # every play cycles, so no deviation helps: the all-lowest-id situation,
+    # after the symmetry and positivity checks
+    game = sp_game([1, 2], {(0, 1): (1, 1), (1, 0): (1, 1)}, n_players=2, initial=0)
+    situation = solve_theorem1(game)
+    assert situation.moves == lowest_id_situation(game.graph).moves == (1, 0)
+    assert oracle.verify_ne_sp(game, situation).ok
+    with pytest.raises(NotSymmetric):
+        solve_theorem1(sp_game([1, 2, 2], {(0, 1): (1, 1), (1, 0): (1, 1), (2, 0): (1, 1)},
+                               n_players=2, initial=0))
+    with pytest.raises(NotPositive, match="^edge costs are not all positive$"):
+        solve_theorem1(sp_game([1, 2], {(0, 1): (-1, 1), (1, 0): (2, 1)}, n_players=2,
+                               initial=0))
+
+
 def test_solve_theorem1_with_transform():
     rng = random.Random(61)
     solved = 0
