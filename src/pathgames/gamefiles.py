@@ -11,12 +11,13 @@ bounded like an integer literal's digits, by ``sys.get_int_max_str_digits()``.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any
 
 from .errors import GameFormatError
-from .model import Game, GameGraph, SPGame, Situation, TerminalGame
+from .model import Game, GameGraph, SPGame, Situation, TerminalGame, _scaled_rows
 
 
 def _max_digits() -> int:
@@ -26,23 +27,33 @@ def _max_digits() -> int:
 
 
 def parse_rational(value: Any) -> Fraction:
+    return Fraction(*_rational_pair(value))
+
+
+def _rational_pair(value: Any) -> tuple[int, int]:
+    """``parse_rational``'s value as ``(numerator, denominator)`` in lowest terms.
+
+    JSON integers and plain ASCII "p" / "p/q" strings are read without
+    building a ``Fraction``; anything else takes ``Fraction``'s parser.
+    """
     if isinstance(value, str):
         try:
-            # Plain ASCII "p" and "p/q" skip Fraction's regex parser; the
-            # values are the same, and anything else takes the full parser.
             num, slash, den = value.partition("/")
             if value.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
-                return Fraction(int(num), int(den or 1))
+                p, q = int(num), int(den or 1)
+                if q:  # "p/0" falls through to the parser's error
+                    g = math.gcd(p, q)
+                    return p // g, q // g
             _, e, exp = value.lower().partition("e")
             if e and abs(int(exp)) > _max_digits():
                 raise ValueError("exponent too large")
-            return Fraction(value)
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise GameFormatError(f"not a rational: {value!r}") from exc
     if isinstance(value, bool):
         raise GameFormatError(f"not a rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, float):
         raise GameFormatError(
             f"float {value!r} is not exact; write it as a string like \"1/100\""
@@ -110,7 +121,18 @@ def game_from_dict(data: dict) -> Game:
 
     is_terminal_game = "terminal_costs" in data
     edges = []
-    edge_cost = {}
+    edge_cost = {}  # (u, v) -> each player's cost as a reduced (num, den) pair
+    parsed: dict[str, tuple[int, int]] = {}
+
+    def pair(value: Any) -> tuple[int, int]:
+        """``_rational_pair``, parsing each distinct cost string once per load."""
+        if type(value) is not str:
+            return _rational_pair(value)
+        got = parsed.get(value)
+        if got is None:
+            got = parsed[value] = _rational_pair(value)
+        return got
+
     for entry in raw_edges:
         try:
             u, v = entry["from"], entry["to"]
@@ -123,7 +145,7 @@ def game_from_dict(data: dict) -> Game:
             costs = entry.get("costs")
             if not isinstance(costs, list) or len(costs) != n_players:
                 raise GameFormatError(f"edge ({u}, {v}) needs {n_players} costs")
-            edge_cost[(u, v)] = tuple(map(parse_rational, costs))
+            edge_cost[(u, v)] = tuple(map(pair, costs))
 
     graph = GameGraph(
         owner=tuple(owner),
@@ -133,7 +155,7 @@ def game_from_dict(data: dict) -> Game:
         names=tuple(names),
     )
     if not is_terminal_game:
-        return SPGame(graph, edge_cost)
+        return SPGame._from_ints(graph, *_scaled_rows(edge_cost.items(), n_players))
 
     # a key is a terminal's id exactly as game_to_dict writes it: not " 2",
     # "2_0" or "02", and not the id of a non-terminal or of no vertex at all

@@ -311,10 +311,12 @@ def _extract_mean_cycle(
 def min_cycle_mean(
     n: int, edges: Iterable[tuple[int, int]], weight: Weight
 ) -> tuple[Fraction | None, list[int] | None]:
-    """Exact minimum directed-cycle mean and one witness cycle.
+    """Exact minimum directed-cycle mean and, when it is <= 0, a witness cycle.
 
-    Returns (None, None) when the graph is acyclic. The witness cycle is
-    listed from its smallest vertex.
+    Returns (None, None) when the graph is acyclic and (mean, None) when
+    the mean is positive: extracting the witness costs a second
+    Bellman-Ford and a search, and only callers that reject a non-positive
+    cycle read it. The witness cycle is listed from its smallest vertex.
     """
     edge_list = sorted(set(edges))
     comps = strongly_connected_components(n, out_adjacency(n, edge_list))
@@ -336,5 +338,6 @@ def min_cycle_mean(
             best, best_i = mean, i
     if best is None:
         return None, None
-    cycle = _extract_mean_cycle(comps[best_i], inner[best_i], best)
-    return Fraction(*best), cycle
+    if best[0] > 0:  # den > 0, so the mean is positive
+        return Fraction(*best), None
+    return Fraction(*best), _extract_mean_cycle(comps[best_i], inner[best_i], best)

@@ -3,10 +3,12 @@
 Vertices are dense integers 0..|V|-1. Players are numbered 1..n; a vertex
 owner of ``None`` marks a terminal. All cost values at the API are exact
 ``fractions.Fraction`` numbers so comparisons and ties are deterministic.
-Inside, every game also keeps one integer image of its costs, scaled by one
-game-wide factor, which the graph kernels and the terminal-game value tables
-run on. Every type here is immutable value data and safe to share between
-threads.
+Inside, every game keeps one integer table of its costs: each cost times
+one game-wide scale, which the graph kernels and the terminal-game value
+tables run on. A shortest path game that is loaded from a file or derived
+from another game is built from that table alone, and its ``edge_cost`` is
+an exact read-only view over it. Every type here is immutable value data
+and safe to share between threads; a view only caches what it has built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import graphalg
 from .errors import PathgamesError
@@ -114,7 +116,7 @@ class GameGraph:
     @cached_property
     def out(self) -> tuple[tuple[int, ...], ...]:
         adj = graphalg.out_adjacency(self.n_vertices, self.edge_set)
-        return tuple(tuple(row) for row in adj)
+        return tuple([tuple(row) for row in adj])  # from a list: see _player_components
 
     @cached_property
     def _edge_symmetric(self) -> bool:
@@ -153,7 +155,12 @@ class GameGraph:
         for cid, comp in enumerate(comps):
             for v in comp:
                 comp_of[v] = cid
-        return tuple(tuple(c) for c in comps), tuple(comp_of)
+        # Built from a list, a tuple is allocated at its final size. One
+        # built from a generator is allocated at a guess and resized, and
+        # CPython files it under the final size when it is freed; per-graph
+        # tuples like these then pile up in the tuple free lists, which
+        # only a full garbage collection empties.
+        return tuple([tuple(c) for c in comps]), tuple(comp_of)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_set)
@@ -162,22 +169,86 @@ class GameGraph:
         return self.names[v]
 
 
-def _scaled_rows(costs: list[tuple], n_players: int) -> tuple[int, tuple[dict, ...]]:
-    """S, the LCM of all denominators of keyed cost vectors, and per player
-    each key's cost times S: sums, comparisons and ties match the rationals'."""
-    scale = math.lcm(*{c.denominator for _, cs in costs for c in cs})
+def _scaled_rows(
+    costs: Iterable[tuple[Any, Sequence[tuple[int, int]]]], n_players: int
+) -> tuple[int, tuple[dict, ...]]:
+    """S, the LCM of the denominators of keyed cost vectors, and per player
+    each key's cost times S: sums, comparisons and ties match the rationals'.
+
+    Each cost is a ``(numerator, denominator)`` pair in lowest terms with a
+    positive denominator; ``costs`` is iterated once per player and once
+    for the denominators.
+    """
+    scale = math.lcm(*{d for _, cs in costs for _, d in cs})
     return scale, tuple(
-        {key: cs[i].numerator * (scale // cs[i].denominator) for key, cs in costs}
+        {key: cs[i][0] * (scale // cs[i][1]) for key, cs in costs}
         for i in range(n_players)
     )
 
 
+def _ratios(costs: Iterable) -> list[tuple[int, int]]:
+    """Exact rationals as ``_scaled_rows``'s (numerator, denominator) pairs."""
+    return [c.as_integer_ratio() for c in costs]
+
+
+class _CostView(Mapping):
+    """Read-only edge -> cost-vector mapping over an integer cost table.
+
+    An edge's ``Fraction`` vector is built on its first read and then
+    cached. Keys, their order, lookups, equality and ``repr`` are those of
+    the dict the vectors would form.
+    """
+
+    __slots__ = ("_scale", "_rows", "_built")
+
+    def __init__(self, scale: int, rows: tuple[dict[tuple[int, int], int], ...]):
+        self._scale = scale
+        self._rows = rows
+        self._built: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+
+    def __getitem__(self, edge: tuple[int, int]) -> tuple[Fraction, ...]:
+        costs = self._built.get(edge)
+        if costs is None:
+            scale = self._scale
+            costs = self._built[edge] = tuple(Fraction(row[edge], scale) for row in self._rows)
+        return costs
+
+    def __contains__(self, edge: object) -> bool:
+        return edge in self._rows[0]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._rows[0])
+
+    def __len__(self) -> int:
+        return len(self._rows[0])
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
 @dataclass(frozen=True)
 class SPGame:
-    """Shortest path game: per-player cost on every move."""
+    """Shortest path game: per-player cost on every move.
+
+    A game is built from its integer cost table (``_int_costs``): the
+    loader and every derived game go through ``_from_ints``, and their
+    ``edge_cost`` is an exact read-only view over that table. A game built
+    directly from an edge -> ``Fraction`` vector mapping derives the same
+    table from it on first use.
+    """
 
     graph: GameGraph
     edge_cost: Mapping[tuple[int, int], tuple[Fraction, ...]]
+
+    @classmethod
+    def _from_ints(
+        cls, graph: GameGraph, scale: int, rows: tuple[dict[tuple[int, int], int], ...]
+    ) -> "SPGame":
+        """The game whose cost table is ``scale`` and, per player, every
+        move's cost times ``scale``; the rows must share their keys."""
+        game = cls(graph, _CostView(scale, rows))
+        game.__dict__["_int_costs"] = (scale, rows)
+        return game
 
     def cost(self, u: int, v: int, player: int) -> Fraction:
         return self.edge_cost[(u, v)][player - 1]
@@ -186,11 +257,12 @@ class SPGame:
     def _int_costs(self) -> tuple[int, tuple[dict[tuple[int, int], int], ...]]:
         """One game-wide scale S > 0 and, per player, every move's cost times S.
 
-        Built by ``_scaled_rows`` from the edge costs (a merged game takes
-        the scale and rows of the game it was merged from). Computed once
-        per game.
+        Given to ``_from_ints``, or built by ``_scaled_rows`` from the edge
+        costs of a game made from ``Fraction`` vectors. Computed once per
+        game.
         """
-        return _scaled_rows(list(self.edge_cost.items()), self.graph.n_players)
+        costs = [(e, _ratios(cs)) for e, cs in self.edge_cost.items()]
+        return _scaled_rows(costs, self.graph.n_players)
 
     def _int_weight(self, player: int) -> graphalg.Weight:
         """The player's scaled integer costs as a graph kernel weight."""
@@ -233,7 +305,8 @@ class TerminalGame:
         id for its terminal cost, None for the infinite-play cost. Computed
         once per game.
         """
-        costs = [*self.terminal_cost.items(), (None, self.infinite_cost)]
+        costs = [(w, _ratios(cs)) for w, cs in self.terminal_cost.items()]
+        costs.append((None, _ratios(self.infinite_cost)))
         return _scaled_rows(costs, self.graph.n_players)
 
     def best_terminal(self, v: int) -> int | None:
@@ -434,15 +507,16 @@ def merge_terminals(game: SPGame) -> tuple[SPGame, TerminalMerge]:
         old_to_new[w] = vt
     new_to_old: list[int | None] = list(nonterm) + [None]
 
+    scale, rows = game._int_costs
     source: dict[tuple[int, int], tuple[int, int]] = {}
     chosen: dict[int, int] = {}
     for u in nonterm:
         u_new = old_to_new[u]
-        controller = g.owner[u]
+        row = rows[g.owner[u] - 1]
         best_terminal = None
         for v in g.out[u]:
             if g.is_terminal(v):
-                key = (game.cost(u, v, controller), v)
+                key = (row[u, v], v)
                 if best_terminal is None or key < best_terminal:
                     best_terminal = key
             else:
@@ -462,11 +536,9 @@ def merge_terminals(game: SPGame) -> tuple[SPGame, TerminalMerge]:
         initial=initial,
         names=names,
     )
-    merged = SPGame(merged_graph, {e: game.edge_cost[old] for e, old in source.items()})
-    # same costs, so the same scale: reuse the input game's integer table
-    scale, rows = game._int_costs
+    # same costs, so the same scale: re-key the input game's integer table
     tables = tuple({e: row[old] for e, old in source.items()} for row in rows)
-    object.__setattr__(merged, "_int_costs", (scale, tables))
+    merged = SPGame._from_ints(merged_graph, scale, tables)
     merge_map = TerminalMerge(
         old_to_new=tuple(old_to_new),
         new_to_old=tuple(new_to_old),

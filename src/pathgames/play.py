@@ -109,26 +109,23 @@ def sp_cost(game: SPGame, play: Play, player: int) -> ExtCost:
 
     Terminal plays sum the move costs. Cycle plays take the sign of the cycle
     sum; a zero-sum cycle is only meaningful when every one of its edges
-    costs zero, in which case the finite approach cost is returned.
+    costs zero, in which case the finite approach cost is returned. The
+    sums run on the game's integer cost table.
     """
+    scale, rows = game._int_costs
+    cost = rows[player - 1].__getitem__
     if play.is_terminal:
-        total = sum(
-            (game.cost(u, v, player) for u, v in play.path_edges()), Fraction(0)
-        )
-        return ExtCost.finite(total)
-    cyc = [game.cost(u, v, player) for u, v in play.cycle_edges()]
-    s = sum(cyc, Fraction(0))
+        return ExtCost.finite(Fraction(sum(map(cost, play.path_edges())), scale))
+    cyc = list(map(cost, play.cycle_edges()))
+    s = sum(cyc)
     if s > 0:
         return PLUS_INF
     if s < 0:
         return MINUS_INF
-    if any(c != 0 for c in cyc):
+    if any(cyc):
         raise ZeroSumMixedCycle(player, play.cycle)
-    approach = sum(
-        (game.cost(u, v, player) for u, v in zip(play.prefix, play.prefix[1:])),
-        Fraction(0),
-    )
-    return ExtCost.finite(approach)
+    approach = sum(map(cost, zip(play.prefix, play.prefix[1:])))
+    return ExtCost.finite(Fraction(approach, scale))
 
 
 def terminal_cost(game: TerminalGame, play: Play, player: int) -> Fraction:

@@ -10,6 +10,7 @@ games, their per-vertex value tables and the one equilibrium check on them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -75,8 +76,8 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     # num/den makes 2*den*w - num the weight w - eps with eps = mean/2, in
     # units of 1/(2*S*den); an acyclic graph takes eps = 1 (num/den = 2S).
     scale = game._int_costs[0]
-    rows = []
-    new_cost: dict[tuple[int, int], list[Fraction]] = {e: [] for e in edges}
+    potentials = []
+    rows = []  # per player: (common factor, reduced unit, new costs in units)
     for player in g.players:
         weight = game._int_weight(player)
         mean, cycle = graphalg.min_cycle_mean(n, edges, weight)
@@ -86,15 +87,24 @@ def gallai_transform(game: SPGame) -> GallaiResult:
         shifted = {(u, v): 2 * den * weight(u, v) - num for u, v in edges}
         pi = graphalg.bellman_ford_potentials(n, edges, lambda u, v: shifted[u, v])
         unit = 2 * scale * den
-        rows.append(tuple(Fraction(p, unit) for p in pi))
+        potentials.append(tuple(Fraction(p, unit) for p in pi))
+        row = {}
         for (u, v), w in shifted.items():
             # the new cost minus eps, in the same units
             slack = w + pi[u] - pi[v]
             if slack < 0:
                 raise InternalCheckFailed("potential failed to make the edge positive")
-            new_cost[(u, v)].append(Fraction(slack + num, unit))
-    transformed = SPGame(g, {e: tuple(cs) for e, cs in new_cost.items()})
-    return GallaiResult(transformed, Potential(tuple(rows)))
+            row[u, v] = slack + num
+        common = math.gcd(unit, *row.values())
+        rows.append((common, unit // common, row))
+    # the LCM of the reduced units is the LCM of the new costs' denominators
+    new_scale = math.lcm(*(reduced for _, reduced, _ in rows))
+    tables = tuple(
+        {e: c // common * (new_scale // reduced) for e, c in row.items()}
+        for common, reduced, row in rows
+    )
+    transformed = SPGame._from_ints(g, new_scale, tables)
+    return GallaiResult(transformed, Potential(tuple(potentials)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +127,8 @@ def terminal_to_sp(game: TerminalGame) -> SpReduction:
     Every move not entering a terminal costs 1/(2|E|) for everyone; a move
     into terminal w costs M + L(w) after scaling terminal costs to negative
     integers. Requires zero infinite-play costs and all terminal costs
-    negative, and raises CIWViolated otherwise.
+    negative, and raises CIWViolated otherwise. A game without moves
+    becomes the shortest path game without moves.
     """
     g = game.graph
     if bad := _ciw_violations(game):
@@ -127,14 +138,14 @@ def terminal_to_sp(game: TerminalGame) -> SpReduction:
     scale, rows = game._int_costs
     big_m = 1 + max((abs(row[w]) for row in rows for w in g.terminals), default=0)
     edges = g.sorted_edges()
-    step = Fraction(1, 2 * len(edges))
-    cost = {}
-    for u, v in edges:
-        if g.is_terminal(v):
-            cost[(u, v)] = tuple(Fraction(big_m + row[v]) for row in rows)
-        else:
-            cost[(u, v)] = (step,) * g.n_players
-    return SpReduction(SPGame(g, cost), scale, big_m)
+    # the new game's scale: 2|E| when some move costs 1/(2|E|), else 1
+    steps = any(not g.is_terminal(v) for _, v in edges)
+    sp_scale = 2 * len(edges) if steps else 1
+    tables = tuple(
+        {(u, v): (big_m + row[v]) * sp_scale if g.is_terminal(v) else 1 for u, v in edges}
+        for row in rows
+    )
+    return SpReduction(SPGame._from_ints(g, sp_scale, tables), scale, big_m)
 
 
 def _ciw_violations(game: TerminalGame) -> list[tuple[int, int | None]]:

@@ -58,7 +58,7 @@ def decompose(game: SPGame) -> ComponentDecomposition:
     if len(g.terminals) != 1:
         raise PreconditionError("decompose expects a single-terminal game (merge first)")
     comps, comp_of = g._player_components
-    owners = tuple(g.owner[comp[0]] for comp in comps)
+    owners = tuple([g.owner[comp[0]] for comp in comps])  # see GameGraph._player_components
     for u, v in g.edge_set:
         if comp_of[u] != comp_of[v] and not g.is_terminal(v):
             if g.owner[u] == g.owner[v]:

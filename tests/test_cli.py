@@ -58,7 +58,7 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "not valid JSON" in err
 
 
-@pytest.mark.parametrize("cost", ["3/-4", "3/0", "\u00b2", "", "/", True, 1.5, None])
+@pytest.mark.parametrize("cost", ["3/-4", "3/0", "1/0", "\u00b2", "", "/", True, 1.5, 0.5, None])
 def test_malformed_cost_exit_code(capsys, tmp_path, cost):
     data = gamefiles.game_to_dict(BUNDLED["g6s"]())
     data["edges"][0]["costs"][0] = cost

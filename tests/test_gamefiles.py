@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import genutil
 from pathgames import fixtures
 from pathgames.errors import GameFormatError
 from pathgames.gamefiles import (
@@ -17,7 +18,8 @@ from pathgames.gamefiles import (
     parse_rational,
     to_dot,
 )
-from pathgames.model import SPGame, Situation, TerminalGame
+from pathgames.model import SPGame, Situation, TerminalGame, validate
+from pathgames.spne import solve_theorem1
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -191,3 +193,112 @@ def test_dot_export_marks_situation():
 def test_dot_export_sp_edge_labels(g6s):
     text = to_dot(g6s)
     assert 'label="1/100, 1/100"' in text
+
+
+def _fraction_route(data, loaded):
+    """The game the loader built before it read costs as integer pairs: one
+    ``Fraction`` per cost, in the file's edge order."""
+    costs = {(e["from"], e["to"]): tuple(map(parse_rational, e["costs"])) for e in data["edges"]}
+    return SPGame(loaded.graph, costs)
+
+
+def _assert_loads_like_fractions(data):
+    game = game_from_dict(data)
+    ref = _fraction_route(data, game)
+    # the integer table is _scaled_rows over parse_rational's values
+    assert game._int_costs == ref._int_costs
+    assert game.edge_cost == ref.edge_cost and ref.edge_cost == game.edge_cost
+    assert list(game.edge_cost) == list(ref.edge_cost)
+    assert list(game.edge_cost.values()) == list(ref.edge_cost.values())
+    assert len(game.edge_cost) == len(ref.edge_cost)
+    assert repr(game) == repr(ref)
+    return game
+
+
+def _one_edge_doc(cost):
+    return {
+        "players": 2,
+        "vertices": [{"id": 0, "owner": 1}, {"id": 1, "owner": "T"}],
+        "edges": [{"from": 0, "to": 1, "costs": [cost, "1/3"]}],
+    }
+
+
+@pytest.mark.parametrize("cost", [
+    "2/4", "-0", "007", "+3", "0.5", "1e-2", "-7/21",
+    "١٢", "３",  # Arabic-Indic and fullwidth digits
+    5, -12, 0,
+])
+def test_loaded_costs_match_parse_rational(cost):
+    game = _assert_loads_like_fractions(_one_edge_doc(cost))
+    assert game.edge_cost[(0, 1)] == (parse_rational(cost), Fraction(1, 3))
+
+
+@pytest.mark.parametrize("cost", ["1/0", True, 0.5])
+def test_loader_rejects_like_parse_rational(cost):
+    with pytest.raises(GameFormatError) as expected:
+        parse_rational(cost)
+    with pytest.raises(GameFormatError) as got:
+        game_from_dict(_one_edge_doc(cost))
+    assert str(got.value) == str(expected.value)
+
+
+def test_cost_view_reads_like_a_dict():
+    data = game_to_dict(fixtures.fig1_pm())
+    data["edges"].reverse()  # iteration follows the file, not sorted order
+    game = _assert_loads_like_fractions(data)
+    view = game.edge_cost
+    first = (data["edges"][0]["from"], data["edges"][0]["to"])
+    assert next(iter(view)) == first and first in view
+    assert view.get((0, 0)) is None and (0, 0) not in view
+    with pytest.raises(KeyError):
+        view[(0, 0)]
+    assert view[first] is view[first]  # built once, then cached
+    assert " at 0x" not in repr(game)
+    assert validate(game) == validate(_fraction_route(data, game)) == []
+
+
+def test_solving_a_loaded_positive_game_builds_no_fraction():
+    rng = random.Random(79)
+    source = genutil.random_symmetric_positive_sp(rng, max_v=10)
+    while len(source.graph.terminals) < 2:
+        source = genutil.random_symmetric_positive_sp(rng, max_v=10)
+    data = game_to_dict(source)
+    game = game_from_dict(data)
+    situation = solve_theorem1(game)
+    assert situation == solve_theorem1(source)
+    assert game.edge_cost._built == {}
+    for entry in data["edges"]:
+        for player, cost in enumerate(entry["costs"], 1):
+            assert game.cost(entry["from"], entry["to"], player) == parse_rational(cost)
+
+
+def test_loading_1000_positions_matches_the_fraction_route():
+    # a scale guard for loading: 1000 positions, 3 players, about 6000
+    # costs over mixed denominators, ints and decimals
+    rng = random.Random(83)
+    n_pos, n_term, n_players = 1000, 8, 3
+    owners = [rng.randint(1, n_players) for _ in range(n_pos)] + ["T"] * n_term
+    pairs = {(u, (u + 1) % n_pos) for u in range(n_pos)}
+    pairs |= {(u, rng.randrange(n_pos)) for u in range(n_pos)}
+    moves = {(u, v) for u, v in pairs if u != v} | {(v, u) for u, v in pairs if u != v}
+    moves |= {(u, n_pos + rng.randrange(n_term)) for u in rng.sample(range(n_pos), 100)}
+
+    def cost():
+        kind = rng.random()
+        if kind < 0.1:
+            return rng.randint(1, 50)
+        if kind < 0.2:
+            return f"{rng.randint(1, 999)}e-{rng.randint(1, 3)}"
+        return f"{rng.randint(1, 1000)}/{rng.choice([1, 2, 3, 4, 6, 12, 25, 100])}"
+
+    data = {
+        "players": n_players,
+        "vertices": [{"id": v, "owner": o} for v, o in enumerate(owners)],
+        "edges": [
+            {"from": u, "to": v, "costs": [cost() for _ in range(n_players)]}
+            for u, v in sorted(moves)
+        ],
+        "initial": 0,
+    }
+    assert len(data["edges"]) * n_players >= 6000
+    _assert_loads_like_fractions(data)

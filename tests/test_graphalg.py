@@ -83,6 +83,15 @@ def test_min_cycle_mean_against_brute_force():
         weight = lambda u, v: weights[(u, v)]
         iweight, scale = int_weights(weights)
         mean, cycle = graphalg.min_cycle_mean(n, edges, iweight)
+        if mean is not None and mean > 0:
+            # A witness comes only with a mean <= 0. Shifting every weight
+            # by the mean keeps the minimum-mean cycles and makes their
+            # mean 0, so the shifted graph yields the same witness.
+            assert cycle is None
+            num, den = mean.numerator, mean.denominator
+            shifted = lambda u, v: iweight(u, v) * den - num
+            zero, cycle = graphalg.min_cycle_mean(n, edges, shifted)
+            assert zero == 0
         if mean is not None:
             mean /= scale
         assert (mean, cycle) == fraction_kernels.min_cycle_mean(n, edges, weight)

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import genutil
-from pathgames import oracle
+from pathgames import graphalg, oracle
 from pathgames.errors import (
     CIWViolated,
     ConditionViolated,
@@ -134,6 +134,33 @@ def test_terminal_to_sp_single_move():
     red = terminal_to_sp(g)
     assert red.big_m == 2
     assert red.game.cost(0, 1, 1) == red.big_m - 1 > 0
+
+
+def test_terminal_to_sp_game_without_moves():
+    g = terminal_game([None], [], {0: (-1, -1)}, n_players=2)
+    red = terminal_to_sp(g)
+    assert (red.scale, red.big_m) == (1, 2)
+    assert red.game.graph == g.graph
+    assert red.game.edge_cost == {}
+    assert red.game._int_costs == (1, ({}, {}))
+
+
+def test_witness_cycle_is_extracted_only_on_the_error_path(monkeypatch, fig1_pm, fig1_p):
+    extracted = genutil.count_calls(monkeypatch, graphalg, "_extract_mean_cycle")
+    rng = random.Random(89)
+    transformed = 0
+    while transformed < 10:
+        game = genutil.random_positive_cycle_sp(rng)
+        if is_positive(game).edge_positive:
+            continue
+        gallai_transform(game)
+        transformed += 1
+    assert extracted == []
+    for game in (fig1_pm, fig1_p):
+        extracted.clear()
+        report = is_positive(game)
+        assert report.witness_cycle is not None
+        assert len(extracted) == 1
 
 
 def test_terminal_to_sp_fractional_costs_scale():
