@@ -26,12 +26,8 @@ def _max_digits() -> int:
     return limit or sys.maxsize
 
 
-def parse_rational(value: Any) -> Fraction:
-    return Fraction(*_rational_pair(value))
-
-
 def _rational_pair(value: Any) -> tuple[int, int]:
-    """``parse_rational``'s value as ``(numerator, denominator)`` in lowest terms.
+    """A game file's cost as ``(numerator, denominator)`` in lowest terms.
 
     JSON integers and plain ASCII "p" / "p/q" strings are read without
     building a ``Fraction``; anything else takes ``Fraction``'s parser.
@@ -160,20 +156,19 @@ def game_from_dict(data: dict) -> Game:
     # a key is a terminal's id exactly as game_to_dict writes it: not " 2",
     # "2_0" or "02", and not the id of a non-terminal or of no vertex at all
     terminal_ids = {str(w): w for w in graph.terminals}
-    terminal_cost = {}
+    outcome_cost = []  # (terminal, or None for infinite play) -> reduced pairs
     for key, costs in data["terminal_costs"].items():
         w = terminal_ids.get(key)
         if w is None:
             raise GameFormatError(f"terminal_costs key {key!r} does not name a terminal vertex")
         if not isinstance(costs, list) or len(costs) != n_players:
             raise GameFormatError(f"terminal {w} needs {n_players} costs")
-        terminal_cost[w] = tuple(map(parse_rational, costs))
-    infinite = tuple(
-        parse_rational(c) for c in data.get("infinite_costs", [0] * n_players)
-    )
+        outcome_cost.append((w, tuple(map(pair, costs))))
+    infinite = tuple(map(pair, data.get("infinite_costs", [0] * n_players)))
     if len(infinite) != n_players:
         raise GameFormatError("infinite_costs has wrong arity")
-    return TerminalGame(graph, terminal_cost, infinite)
+    outcome_cost.append((None, infinite))
+    return TerminalGame._from_ints(graph, *_scaled_rows(outcome_cost, n_players))
 
 
 def game_to_dict(game: Game) -> dict:
@@ -218,6 +213,8 @@ def load_game(path: str) -> Game:
         raise GameFormatError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit
+        raise GameFormatError(f"{path}: {exc}") from exc
     except RecursionError as exc:
         raise GameFormatError(f"{path} nests too deeply") from exc
     if not isinstance(data, dict):

@@ -5,16 +5,17 @@ owner of ``None`` marks a terminal. All cost values at the API are exact
 ``fractions.Fraction`` numbers so comparisons and ties are deterministic.
 Inside, every game keeps one integer table of its costs: each cost times
 one game-wide scale, which the graph kernels and the terminal-game value
-tables run on. A shortest path game that is loaded from a file or derived
-from another game is built from that table alone, and its ``edge_cost`` is
-an exact read-only view over it. Every type here is immutable value data
-and safe to share between threads; a view only caches what it has built.
+tables run on. Both game classes are built from that table alone, whether
+loaded from a file, made by ``sp_game`` or ``terminal_game``, or derived
+from another game; ``edge_cost`` and ``terminal_cost`` are exact read-only
+views over it. Every type here is immutable value data and safe to share
+between threads; a view only caches what it has built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -186,41 +187,47 @@ def _scaled_rows(
     )
 
 
-def _ratios(costs: Iterable) -> list[tuple[int, int]]:
-    """Exact rationals as ``_scaled_rows``'s (numerator, denominator) pairs."""
-    return [c.as_integer_ratio() for c in costs]
+def _pairs(what: str, costs: Iterable, n_players: int) -> list[tuple[int, int]]:
+    """Exact costs as ``_scaled_rows``'s pairs; a wrong-length vector raises."""
+    pairs = [Fraction(c).as_integer_ratio() for c in costs]
+    if len(pairs) != n_players:
+        raise PathgamesError(f"{what} cost vector has wrong arity")
+    return pairs
 
 
 class _CostView(Mapping):
-    """Read-only edge -> cost-vector mapping over an integer cost table.
+    """Read-only edge or terminal -> cost-vector mapping over a cost table.
 
-    An edge's ``Fraction`` vector is built on its first read and then
-    cached. Keys, their order, lookups, equality and ``repr`` are those of
-    the dict the vectors would form.
+    A terminal game's None entry, its infinite-play cost, is not a key. A
+    key's ``Fraction`` vector is built on its first read and then cached.
+    Keys, their order, lookups, equality and ``repr`` are those of the dict
+    the vectors would form.
     """
 
     __slots__ = ("_scale", "_rows", "_built")
 
-    def __init__(self, scale: int, rows: tuple[dict[tuple[int, int], int], ...]):
+    def __init__(self, scale: int, rows: tuple[dict, ...]):
         self._scale = scale
         self._rows = rows
-        self._built: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+        self._built: dict[Any, tuple[Fraction, ...]] = {}
 
-    def __getitem__(self, edge: tuple[int, int]) -> tuple[Fraction, ...]:
-        costs = self._built.get(edge)
+    def __getitem__(self, key) -> tuple[Fraction, ...]:
+        costs = self._built.get(key)
         if costs is None:
+            if key is None:
+                raise KeyError(key)
             scale = self._scale
-            costs = self._built[edge] = tuple(Fraction(row[edge], scale) for row in self._rows)
+            costs = self._built[key] = tuple(Fraction(row[key], scale) for row in self._rows)
         return costs
 
-    def __contains__(self, edge: object) -> bool:
-        return edge in self._rows[0]
+    def __contains__(self, key: object) -> bool:
+        return key is not None and key in self._rows[0]
 
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._rows[0])
+    def __iter__(self) -> Iterator:
+        return (key for key in self._rows[0] if key is not None)
 
     def __len__(self) -> int:
-        return len(self._rows[0])
+        return len(self._rows[0]) - (None in self._rows[0])
 
     def __repr__(self) -> str:
         return repr(dict(self.items()))
@@ -230,15 +237,14 @@ class _CostView(Mapping):
 class SPGame:
     """Shortest path game: per-player cost on every move.
 
-    A game is built from its integer cost table (``_int_costs``): the
-    loader and every derived game go through ``_from_ints``, and their
-    ``edge_cost`` is an exact read-only view over that table. A game built
-    directly from an edge -> ``Fraction`` vector mapping derives the same
-    table from it on first use.
+    A game is built by ``_from_ints`` from its integer cost table
+    (``_int_costs``): one game-wide scale S > 0 and, per player, every
+    move's cost times S. ``edge_cost`` is an exact read-only view over it.
     """
 
     graph: GameGraph
     edge_cost: Mapping[tuple[int, int], tuple[Fraction, ...]]
+    _int_costs: tuple[int, tuple[dict, ...]] = field(repr=False, compare=False)
 
     @classmethod
     def _from_ints(
@@ -246,23 +252,10 @@ class SPGame:
     ) -> "SPGame":
         """The game whose cost table is ``scale`` and, per player, every
         move's cost times ``scale``; the rows must share their keys."""
-        game = cls(graph, _CostView(scale, rows))
-        game.__dict__["_int_costs"] = (scale, rows)
-        return game
+        return cls(graph, _CostView(scale, rows), (scale, rows))
 
     def cost(self, u: int, v: int, player: int) -> Fraction:
         return self.edge_cost[(u, v)][player - 1]
-
-    @cached_property
-    def _int_costs(self) -> tuple[int, tuple[dict[tuple[int, int], int], ...]]:
-        """One game-wide scale S > 0 and, per player, every move's cost times S.
-
-        Given to ``_from_ints``, or built by ``_scaled_rows`` from the edge
-        costs of a game made from ``Fraction`` vectors. Computed once per
-        game.
-        """
-        costs = [(e, _ratios(cs)) for e, cs in self.edge_cost.items()]
-        return _scaled_rows(costs, self.graph.n_players)
 
     def _int_weight(self, player: int) -> graphalg.Weight:
         """The player's scaled integer costs as a graph kernel weight."""
@@ -274,40 +267,32 @@ class SPGame:
 class TerminalGame:
     """Terminal game: only the reached terminal (or cycling forever) pays.
 
-    ``infinite_cost`` is the per-player cost of any infinite play; it
-    defaults to zero for everyone. Inside, the game keeps one integer cost
-    table (``_int_costs``): every cost times one game-wide scale S, so the
-    solvers compare ints and convert back to ``Fraction`` only for output.
+    ``infinite_cost`` is the per-player cost of any infinite play. A game
+    is built by ``_from_ints`` from its integer cost table (``_int_costs``):
+    every cost times one game-wide scale S, so the solvers compare ints.
+    ``terminal_cost`` is an exact read-only view over the table.
     """
 
     graph: GameGraph
     terminal_cost: Mapping[int, tuple[Fraction, ...]]
-    infinite_cost: tuple[Fraction, ...] = ()
+    infinite_cost: tuple[Fraction, ...]
+    _int_costs: tuple[int, tuple[dict, ...]] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        if not self.infinite_cost:
-            object.__setattr__(
-                self, "infinite_cost", (Fraction(0),) * self.graph.n_players
-            )
+    @classmethod
+    def _from_ints(
+        cls, graph: GameGraph, scale: int, rows: tuple[dict[int | None, int], ...]
+    ) -> "TerminalGame":
+        """The game whose cost table is ``scale`` and, per player, each
+        outcome's cost times ``scale``, keyed as ``play.outcomes`` reports
+        it (None for infinite play); the rows must share their keys."""
+        infinite = tuple(Fraction(row[None], scale) for row in rows)
+        return cls(graph, _CostView(scale, rows), infinite, (scale, rows))
 
     def cost_at(self, terminal: int, player: int) -> Fraction:
         return self.terminal_cost[terminal][player - 1]
 
     def cycle_cost(self, player: int) -> Fraction:
         return self.infinite_cost[player - 1]
-
-    @cached_property
-    def _int_costs(self) -> tuple[int, tuple[dict[int | None, int], ...]]:
-        """One game-wide scale S > 0 and, per player, each outcome's cost times S.
-
-        Built by ``_scaled_rows`` from the terminal and infinite-play costs.
-        A row is keyed by outcome as ``play.outcomes`` reports it: a terminal
-        id for its terminal cost, None for the infinite-play cost. Computed
-        once per game.
-        """
-        costs = [(w, _ratios(cs)) for w, cs in self.terminal_cost.items()]
-        costs.append((None, _ratios(self.infinite_cost)))
-        return _scaled_rows(costs, self.graph.n_players)
 
     def best_terminal(self, v: int) -> int | None:
         """Cheapest terminal move of v's controller, lowest id on ties.
@@ -323,7 +308,8 @@ class TerminalGame:
 
     def restricted(self, edges: Iterable[tuple[int, int]]) -> "TerminalGame":
         """The same game with only the given moves left."""
-        return replace(self, graph=replace(self.graph, edges=tuple(sorted(edges))))
+        graph = replace(self.graph, edges=tuple(sorted(edges)))
+        return self._from_ints(graph, *self._int_costs)
 
     @cached_property
     def _contraction(self):
@@ -400,22 +386,17 @@ def validate(game: Game) -> list[str]:
             violations.append(f"non-terminal vertex {v} ({g.name(v)}) has no outgoing edge")
     if g.initial is not None and g.is_terminal(g.initial):
         violations.append(f"initial vertex {g.initial} is a terminal")
+    # every cost vector has one entry per player: the table has one row each
     if isinstance(game, SPGame):
-        for u, v in sorted(seen_edges):
-            costs = game.edge_cost.get((u, v))
-            if costs is None:
-                violations.append(f"edge ({u}, {v}) has no cost vector")
-            elif len(costs) != g.n_players:
-                violations.append(f"edge ({u}, {v}) cost vector has wrong arity")
+        violations += [
+            f"edge ({u}, {v}) has no cost vector"
+            for u, v in sorted(seen_edges) if (u, v) not in game.edge_cost
+        ]
     else:
-        for w in g.terminals:
-            costs = game.terminal_cost.get(w)
-            if costs is None:
-                violations.append(f"terminal {w} ({g.name(w)}) has no cost vector")
-            elif len(costs) != g.n_players:
-                violations.append(f"terminal {w} cost vector has wrong arity")
-        if len(game.infinite_cost) != g.n_players:
-            violations.append("infinite-play cost vector has wrong arity")
+        violations += [
+            f"terminal {w} ({g.name(w)}) has no cost vector"
+            for w in g.terminals if w not in game.terminal_cost
+        ]
     return violations
 
 
@@ -556,17 +537,15 @@ def sp_game(
     names: Iterable[str] = (),
 ) -> SPGame:
     """Convenience constructor taking an edge -> cost-vector mapping."""
-    cost = {
-        e: tuple(Fraction(c) for c in cs) for e, cs in edges.items()
-    }
+    costs = [(e, _pairs(f"edge {e}", cs, n_players)) for e, cs in edges.items()]
     graph = GameGraph(
         owner=tuple(owner),
-        edges=tuple(sorted(cost)),
+        edges=tuple(sorted(edges)),
         n_players=n_players,
         initial=initial,
         names=tuple(names),
     )
-    return SPGame(graph, cost)
+    return SPGame._from_ints(graph, *_scaled_rows(costs, n_players))
 
 
 def terminal_game(
@@ -578,6 +557,7 @@ def terminal_game(
     initial: int | None = None,
     names: Iterable[str] = (),
 ) -> TerminalGame:
+    """Convenience constructor; infinite play costs zero unless given."""
     graph = GameGraph(
         owner=tuple(owner),
         edges=tuple(sorted(set(edges))),
@@ -585,6 +565,7 @@ def terminal_game(
         initial=initial,
         names=tuple(names),
     )
-    costs = {w: tuple(Fraction(c) for c in cs) for w, cs in terminal_cost.items()}
-    inf = tuple(Fraction(c) for c in infinite_cost)
-    return TerminalGame(graph, costs, inf)
+    costs = [(w, _pairs(f"terminal {w}", cs, n_players)) for w, cs in terminal_cost.items()]
+    infinite = tuple(infinite_cost) or (0,) * n_players
+    costs.append((None, _pairs("infinite-play", infinite, n_players)))
+    return TerminalGame._from_ints(graph, *_scaled_rows(costs, n_players))

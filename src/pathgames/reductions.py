@@ -37,12 +37,14 @@ from .play import outcomes
 
 @dataclass(frozen=True)
 class Potential:
-    """Per-player vertex potentials of a cost reweighting."""
+    """Per-player vertex potentials of a cost reweighting: player i's
+    potential at v is ``pi[i - 1][v] / unit[i - 1]``."""
 
-    values: tuple[tuple[Fraction, ...], ...]
+    pi: tuple[tuple[int, ...], ...]
+    unit: tuple[int, ...]
 
     def of(self, player: int, v: int) -> Fraction:
-        return self.values[player - 1][v]
+        return Fraction(self.pi[player - 1][v], self.unit[player - 1])
 
 
 @dataclass(frozen=True)
@@ -65,18 +67,20 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     equilibrium of the reweighted game need not be one of the input game.
 
     Already-positive games are returned unchanged with a zero potential.
+    Potentials stay integers in a per-player unit of the cost table.
     """
     g = game.graph
     n = g.n_vertices
     edges = g.sorted_edges()
     if _edge_positive(game):
-        return GallaiResult(game, Potential(((Fraction(0),) * n,) * g.n_players))
+        return GallaiResult(game, Potential(((0,) * n,) * g.n_players, (1,) * g.n_players))
 
     # On the game's integer table (costs times S), a minimum cycle mean
     # num/den makes 2*den*w - num the weight w - eps with eps = mean/2, in
     # units of 1/(2*S*den); an acyclic graph takes eps = 1 (num/den = 2S).
     scale = game._int_costs[0]
     potentials = []
+    units = []
     rows = []  # per player: (common factor, reduced unit, new costs in units)
     for player in g.players:
         weight = game._int_weight(player)
@@ -87,7 +91,8 @@ def gallai_transform(game: SPGame) -> GallaiResult:
         shifted = {(u, v): 2 * den * weight(u, v) - num for u, v in edges}
         pi = graphalg.bellman_ford_potentials(n, edges, lambda u, v: shifted[u, v])
         unit = 2 * scale * den
-        potentials.append(tuple(Fraction(p, unit) for p in pi))
+        potentials.append(tuple(pi))
+        units.append(unit)
         row = {}
         for (u, v), w in shifted.items():
             # the new cost minus eps, in the same units
@@ -104,7 +109,7 @@ def gallai_transform(game: SPGame) -> GallaiResult:
         for common, reduced, row in rows
     )
     transformed = SPGame._from_ints(g, new_scale, tables)
-    return GallaiResult(transformed, Potential(tuple(potentials)))
+    return GallaiResult(transformed, Potential(tuple(potentials), tuple(units)))
 
 
 @dataclass(frozen=True)
@@ -352,11 +357,6 @@ def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
         g.names[comp[0]] if len(comp) == 1 else "+".join(g.names[v] for v in comp)
         for comp in comps
     )
-    terminal_cost = {
-        cid: game.terminal_cost[comp[0]]
-        for cid, comp in enumerate(comps)
-        if owner[cid] is TERMINAL
-    }
     initial = comp_of[g.initial] if g.initial is not None else None
     small_graph = GameGraph(
         owner=owner,
@@ -365,7 +365,11 @@ def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
         initial=initial,
         names=names,
     )
-    small = TerminalGame(small_graph, terminal_cost, game.infinite_cost)
+    # same costs, so the same scale: re-key the input game's integer table
+    scale, rows = game._int_costs
+    keys = [(cid, comp[0]) for cid, comp in enumerate(comps) if owner[cid] is TERMINAL]
+    tables = tuple({cid: row[w] for cid, w in keys + [(None, None)]} for row in rows)
+    small = TerminalGame._from_ints(small_graph, scale, tables)
     cmap = ContractionMap(
         graph=g,
         component=comp_of,

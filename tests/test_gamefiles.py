@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 import sys
@@ -11,15 +12,20 @@ import genutil
 from pathgames import fixtures
 from pathgames.errors import GameFormatError
 from pathgames.gamefiles import (
+    _rational_pair,
     dump_game,
     format_rational,
     game_from_dict,
     game_to_dict,
-    parse_rational,
     to_dot,
 )
 from pathgames.model import SPGame, Situation, TerminalGame, validate
 from pathgames.spne import solve_theorem1
+
+
+def parse_rational(value):
+    """The loader's value of one cost in a game file."""
+    return Fraction(*_rational_pair(value))
 
 
 @pytest.mark.parametrize("value,expected", [
@@ -161,9 +167,10 @@ def test_terminal_game_default_infinite_costs():
         "edges": [{"from": 0, "to": 1}],
         "terminal_costs": {"1": ["-1", "-2"]},
     }
-    game = game_from_dict(data)
+    game = _assert_loads_like_fractions(data)
     assert isinstance(game, TerminalGame)
     assert game.infinite_cost == (Fraction(0), Fraction(0))
+    assert game._int_costs == (1, ({1: -1, None: 0}, {1: -2, None: 0}))
 
 
 @pytest.mark.parametrize("mutate,msg", [
@@ -195,24 +202,47 @@ def test_dot_export_sp_edge_labels(g6s):
     assert 'label="1/100, 1/100"' in text
 
 
-def _fraction_route(data, loaded):
-    """The game the loader built before it read costs as integer pairs: one
-    ``Fraction`` per cost, in the file's edge order."""
-    costs = {(e["from"], e["to"]): tuple(map(parse_rational, e["costs"])) for e in data["edges"]}
-    return SPGame(loaded.graph, costs)
+def _fraction_route(data):
+    """Each cost vector of a game file as ``parse_rational`` reads it, keyed
+    as the loader keys its table: edges in file order, or terminals in file
+    order and then None for the infinite-play costs."""
+    if "terminal_costs" not in data:
+        return [((e["from"], e["to"]), tuple(map(parse_rational, e["costs"])))
+                for e in data["edges"]]
+    vectors = [(int(key), tuple(map(parse_rational, costs)))
+               for key, costs in data["terminal_costs"].items()]
+    infinite = data.get("infinite_costs", [0] * data["players"])
+    return vectors + [(None, tuple(map(parse_rational, infinite)))]
 
 
 def _assert_loads_like_fractions(data):
     game = game_from_dict(data)
-    ref = _fraction_route(data, game)
-    # the integer table is _scaled_rows over parse_rational's values
-    assert game._int_costs == ref._int_costs
-    assert game.edge_cost == ref.edge_cost and ref.edge_cost == game.edge_cost
-    assert list(game.edge_cost) == list(ref.edge_cost)
-    assert list(game.edge_cost.values()) == list(ref.edge_cost.values())
-    assert len(game.edge_cost) == len(ref.edge_cost)
-    assert repr(game) == repr(ref)
+    vectors = _fraction_route(data)
+    # the table's scale is the LCM of the parsed denominators
+    scale = math.lcm(*(q.denominator for _, qs in vectors for q in qs))
+    table = tuple({key: qs[i] * scale for key, qs in vectors} for i in range(data["players"]))
+    assert game._int_costs == (scale, table)
+    assert all(type(c) is int for row in game._int_costs[1] for c in row.values())
+    view = game.terminal_cost if isinstance(game, TerminalGame) else game.edge_cost
+    expected = {key: qs for key, qs in vectors if key is not None}
+    if isinstance(game, TerminalGame):
+        assert game.infinite_cost == vectors[-1][1]
+    assert view == expected and expected == view
+    assert list(view) == list(expected)
+    assert list(view.values()) == list(expected.values())
+    assert len(view) == len(expected)
+    assert repr(view) == repr(expected)
     return game
+
+
+def _one_terminal_doc(cost):
+    return {
+        "players": 2,
+        "vertices": [{"id": 0, "owner": 1}, {"id": 1, "owner": "T"}, {"id": 2, "owner": "T"}],
+        "edges": [{"from": 0, "to": 1}, {"from": 0, "to": 2}],
+        "terminal_costs": {"2": ["-2/4", "7"], "1": [cost, "-1/3"]},
+        "infinite_costs": [5, "-1/6"],
+    }
 
 
 def _one_edge_doc(cost):
@@ -231,6 +261,13 @@ def _one_edge_doc(cost):
 def test_loaded_costs_match_parse_rational(cost):
     game = _assert_loads_like_fractions(_one_edge_doc(cost))
     assert game.edge_cost[(0, 1)] == (parse_rational(cost), Fraction(1, 3))
+    doc = _one_terminal_doc(cost)
+    game = _assert_loads_like_fractions(doc)
+    assert game.terminal_cost[1] == (parse_rational(cost), Fraction(-1, 3))
+    assert (game.cost_at(2, 1), game.cycle_cost(2)) == (Fraction(-1, 2), Fraction(-1, 6))
+    doc["infinite_costs"] = [cost, "1/4"]
+    game = _assert_loads_like_fractions(doc)
+    assert game.infinite_cost == (parse_rational(cost), Fraction(1, 4))
 
 
 @pytest.mark.parametrize("cost", ["1/0", True, 0.5])
@@ -254,7 +291,7 @@ def test_cost_view_reads_like_a_dict():
         view[(0, 0)]
     assert view[first] is view[first]  # built once, then cached
     assert " at 0x" not in repr(game)
-    assert validate(game) == validate(_fraction_route(data, game)) == []
+    assert validate(game) == []
 
 
 def test_solving_a_loaded_positive_game_builds_no_fraction():

@@ -24,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import genutil  # noqa: E402
 from pathgames import oracle  # noqa: E402
-from pathgames.model import SPGame, TerminalGame, sp_game  # noqa: E402
+from pathgames.model import SPGame, TerminalGame, sp_game, terminal_game  # noqa: E402
 from pathgames.spne import solve_theorem1  # noqa: E402
 from pathgames.terminalne import solve_theorem2  # noqa: E402
 from pathgames.une import solve_theorem3  # noqa: E402
@@ -105,10 +105,15 @@ def test_potential_shift_keeps_equilibria(game, raw):
 
 
 def _scale_terminal(game: TerminalGame, factor: Fraction) -> TerminalGame:
-    return TerminalGame(
-        game.graph,
+    g = game.graph
+    return terminal_game(
+        g.owner,
+        g.edges,
         {w: tuple(c * factor for c in cs) for w, cs in game.terminal_cost.items()},
+        g.n_players,
         tuple(c * factor for c in game.infinite_cost),
+        g.initial,
+        g.names,
     )
 
 

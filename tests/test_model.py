@@ -5,8 +5,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import genutil
 from pathgames import fixtures, oracle
+from pathgames.errors import PathgamesError
 from pathgames.gamefiles import game_from_dict, game_to_dict
 from pathgames.model import (
     ExtCost,
@@ -62,10 +65,21 @@ def test_validate_self_loop_only_in_terminal_games():
 
 def test_validate_missing_cost_vector():
     graph = GameGraph(owner=(1, None), edges=((0, 1),), n_players=1)
-    from pathgames.model import SPGame
+    game = SPGame._from_ints(graph, 1, ({},))
+    assert validate(game) == ["edge (0, 1) has no cost vector"]
+    tg = terminal_game([1, None, None], [(0, 1), (0, 2)], {2: (-1,)}, n_players=1)
+    assert validate(tg) == ["terminal 1 (1) has no cost vector"]
 
-    game = SPGame(graph, {})
-    assert any("no cost vector" in v for v in validate(game))
+
+@pytest.mark.parametrize("costs", [(1, 2, 3), (1,)])
+def test_wrong_arity_cost_vectors_raise(costs):
+    # a long vector is not cut to length, a short one is not an IndexError
+    with pytest.raises(PathgamesError, match=r"^edge \(0, 1\) cost vector has wrong arity$"):
+        sp_game([1, None], {(0, 1): costs}, 2)
+    with pytest.raises(PathgamesError, match=r"^terminal 1 cost vector has wrong arity$"):
+        terminal_game([1, None], [(0, 1)], {1: costs}, 2)
+    with pytest.raises(PathgamesError, match=r"^infinite-play cost vector has wrong arity$"):
+        terminal_game([1, None], [(0, 1)], {1: (-1, -1)}, 2, infinite_cost=costs)
 
 
 def test_edge_symmetric(fig1_pm, g6):

@@ -51,7 +51,8 @@ def test_player_components_match_naive_pass():
 def test_gallai_positive_input_unchanged(g6s):
     result = gallai_transform(g6s)
     assert result.game.edge_cost == g6s.edge_cost
-    assert all(v == 0 for row in result.potential.values for v in row)
+    g = g6s.graph
+    assert all(result.potential.of(p, v) == 0 for p in g.players for v in range(g.n_vertices))
 
 
 def test_gallai_two_cycle_by_hand():
@@ -63,6 +64,11 @@ def test_gallai_two_cycle_by_hand():
     # cycle sum is invariant under any potential
     assert new.cost(0, 1, 1) + new.cost(1, 0, 1) == 2
     assert all(c > 0 for cs in new.edge_cost.values() for c in cs)
+    # integer potentials, read back as exact rationals
+    pot = result.potential
+    assert all(type(x) is int for row in pot.pi for x in row)
+    for u, v in game.edge_cost:
+        assert new.cost(u, v, 1) - game.cost(u, v, 1) == pot.of(1, u) - pot.of(1, v)
 
 
 def test_gallai_rejects_fig1(fig1_pm):

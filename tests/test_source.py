@@ -56,3 +56,32 @@ def test_every_public_definition_is_used_in_src():
                     and not stmt.name.startswith("_")):
                 definitions.append((path.stem, stmt.name, stmt.name in names))
     assert [f"{module}.{name}" for module, name, own in definitions if reads[name] == own] == []
+
+
+def _calls_outside_from_ints(tree, names):
+    inside = {id(node) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_from_ints"
+              for node in ast.walk(fn)}
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in names and id(node) not in inside]
+
+
+def test_games_are_built_only_from_their_integer_table():
+    # one construction route per game class: _from_ints takes the integer
+    # cost table, and nothing derives a table later from Fraction costs
+    found = []
+    for path, tree in _modules():
+        found += [f"{path.name}:{node.lineno}" for node in
+                  _calls_outside_from_ints(tree, {"SPGame", "TerminalGame", "cls"})]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and cls.name in ("SPGame", "TerminalGame"):
+                # dataclasses.replace would copy a game past _from_ints
+                found += [f"{path.name}:{node.lineno}"
+                          for node in _calls_outside_from_ints(cls, {"replace"})
+                          if node.args and isinstance(node.args[0], ast.Name)
+                          and node.args[0].id == "self"]
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.FunctionDef) and node.name == "_int_costs"
+                  and any("cached_property" in ast.unparse(d) for d in node.decorator_list)]
+    assert found == []

@@ -11,7 +11,7 @@ import pytest
 
 import genutil
 import pathgames
-from pathgames import graphalg, oracle, spne
+from pathgames import graphalg, model, oracle, spne
 from pathgames.errors import InternalCheckFailed, NotPositive, NotSymmetric, Unreachable
 from pathgames.model import (
     SPGame,
@@ -494,25 +494,27 @@ def test_theorem1_runs_at_most_one_cycle_pass(monkeypatch):
 
 
 def test_theorem1_scales_each_game_once(monkeypatch):
-    # No kernel rescales costs per call: each game object builds one
-    # integer table, and the merged game takes the input game's.
+    # No kernel rescales costs per call: a solve derives no integer table
+    # from rationals, and each game it derives (merged, reweighted) is built
+    # once, from the table of the game it came from.
     assert not hasattr(graphalg, "_scaled")
-    prop = SPGame.__dict__["_int_costs"]
-    real = prop.func
+    scalings = genutil.count_calls(monkeypatch, model, "_scaled_rows")
+    real = SPGame._from_ints.__func__
     builds = []
 
-    def counting(game):
-        builds.append(game)
-        return real(game)
+    def counting(cls, graph, scale, rows):
+        builds.append(real(cls, graph, scale, rows))
+        return builds[-1]
 
-    monkeypatch.setattr(prop, "func", counting)
+    monkeypatch.setattr(SPGame, "_from_ints", classmethod(counting))
     rng = random.Random(71)
     for _ in range(10):
         game = genutil.random_symmetric_positive_sp(rng, max_v=8)
         builds.clear()
+        scalings.clear()
         solve_theorem1(game)
-        assert 1 <= len(builds) <= 2
-        assert len({id(g) for g in builds}) == len(builds)
+        assert scalings == []
+        assert len(builds) == 1  # the merged game
     game = sp_game(
         [1, 2, None],
         {(0, 1): (-1, 2, -2), (1, 0): (3, 1, 5), (0, 2): (1, 1, 1), (1, 2): (2, 2, 2)},
@@ -520,8 +522,11 @@ def test_theorem1_scales_each_game_once(monkeypatch):
         initial=0,
     )
     builds.clear()
+    scalings.clear()
     solve_theorem1(game, transform=True)
-    assert 1 <= len(builds) <= 3
+    assert scalings == []
+    assert len(builds) == 2  # the reweighted game, then its merged game
+    assert len({id(g) for g in builds}) == len(builds)
 
 
 def test_theorem1_checks_raise_under_dash_O():
