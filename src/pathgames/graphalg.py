@@ -1,7 +1,9 @@
 """Deterministic exact-arithmetic graph primitives.
 
-All functions work on vertices 0..n-1 with explicit edge lists and weight
-callables returning ``int``s. Callers with rational costs multiply them by
+All functions work on vertices 0..n-1, given either explicit edge lists
+or adjacency rows (``out[v]`` lists v's out-neighbours, ``into[v]`` its
+in-neighbours, each in increasing id order), and weight callables
+returning ``int``s. Callers with rational costs multiply them by
 one positive common multiple of the denominators first (``SPGame`` keeps
 one such integer table per game). Scaling keeps every sum, comparison and
 tie, so an integer result ``r`` stands exactly for ``r / scale``.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from .errors import InternalCheckFailed
 
@@ -86,20 +88,30 @@ def strongly_connected_components(
     return comps
 
 
-def reachable_to(
-    n: int, edges: Iterable[tuple[int, int]], targets: Iterable[int]
-) -> set[int]:
-    """Vertices from which some target is reachable (targets included)."""
-    radj = out_adjacency(n, ((v, u) for u, v in edges))
-    seen = set(targets)
-    todo = sorted(seen)
-    while todo:
-        v = todo.pop()
-        for u in radj[v]:
-            if u not in seen:
-                seen.add(u)
-                todo.append(u)
-    return seen
+def tree_toward(
+    into: Sequence[Sequence[int]], roots: Iterable[int], joins: Container[int]
+) -> dict[int, int]:
+    """Reverse breadth-first in-tree toward ``roots``.
+
+    ``into[v]`` lists v's in-neighbours. Each vertex of ``joins`` that can
+    reach a root, other than the roots themselves, maps to its move toward
+    them: a vertex one layer closer, the lowest id within that layer. The
+    keys plus the roots are exactly the vertices that reach a root along
+    vertices of ``joins``.
+    """
+    reached = set(roots)
+    layer = list(reached)
+    tree: dict[int, int] = {}
+    while layer:
+        nxt: dict[int, int] = {}
+        for u in layer:
+            for v in into[u]:
+                if v not in reached and v in joins and (v not in nxt or u < nxt[v]):
+                    nxt[v] = u
+        tree.update(nxt)
+        reached.update(nxt)
+        layer = list(nxt)
+    return tree
 
 
 def _lex_dist(

@@ -67,7 +67,9 @@ class GameGraph:
 
     ``owner[v]`` is the controlling player (1..n_players) or None for a
     terminal. ``edges`` keeps the raw edge tuple as constructed; validation
-    reports duplicates rather than silently dropping them.
+    reports duplicates rather than silently dropping them. Each graph caches
+    one adjacency per direction: ``out`` (sorted out-neighbors) and
+    ``_into`` (sorted in-neighbors), which every backward search reads.
     """
 
     owner: tuple[int | None, ...]
@@ -126,18 +128,14 @@ class GameGraph:
         )
 
     @cached_property
-    def _own_moves_in(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
-        """Per player, each vertex's in-neighbors along that player's own moves.
-
-        The one-player relaxations start from this and add the opponents'
-        fixed moves. Computed once per graph.
-        """
-        rows = [[[] for _ in range(self.n_vertices)] for _ in self.players]
-        for v in self.nonterminals:
-            into = rows[self.owner[v] - 1]
-            for w in self.out[v]:
-                into[w].append(v)
-        return tuple(tuple(map(tuple, row)) for row in rows)
+    def _into(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's in-neighbors in increasing id order, computed once
+        per graph from the sorted ``out`` rows, so no row is sorted again."""
+        rows: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for v, row in enumerate(self.out):
+            for w in row:
+                rows[w].append(v)
+        return tuple([tuple(row) for row in rows])
 
     @cached_property
     def _player_components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -557,7 +555,10 @@ def terminal_game(
     initial: int | None = None,
     names: Iterable[str] = (),
 ) -> TerminalGame:
-    """Convenience constructor; infinite play costs zero unless given."""
+    """Convenience constructor; infinite play costs zero unless given.
+
+    A ``terminal_cost`` key that is not a terminal vertex raises.
+    """
     graph = GameGraph(
         owner=tuple(owner),
         edges=tuple(sorted(set(edges))),
@@ -565,6 +566,9 @@ def terminal_game(
         initial=initial,
         names=tuple(names),
     )
+    terminals = set(graph.terminals)
+    if bad := [w for w in terminal_cost if w not in terminals]:
+        raise PathgamesError(f"terminal_cost key {bad[0]!r} does not name a terminal vertex")
     costs = [(w, _pairs(f"terminal {w}", cs, n_players)) for w, cs in terminal_cost.items()]
     infinite = tuple(infinite_cost) or (0,) * n_players
     costs.append((None, _pairs("infinite-play", infinite, n_players)))

@@ -201,15 +201,16 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
     """Per-vertex optima for one player against the other's fixed moves."""
     g = game.graph
     n = g.n_vertices
-    owner, moves = g.owner, situation.moves
-    # The relaxation's reverse moves: the player's own, then the fixed ones.
-    radj = list(map(list, g._own_moves_in[player - 1]))
+    owner, moves, into = g.owner, situation.moves, g._into
+    # The relaxation keeps the player's own moves and the others' fixed ones:
+    # u in into[w] is a reverse move of it iff owner[u] == player or
+    # moves[u] == w. Testing that where a row is read costs less than
+    # building the filtered rows, as each row is read at most twice.
     left = [0] * n
     for v in g.nonterminals:
         if owner[v] == player:
             left[v] = len(g.out[v])
         elif moves[v] is not None:
-            radj[moves[v]].append(v)
             left[v] = 1
 
     # Peel vertices whose every move leads to peeled ones, terminals first.
@@ -218,10 +219,11 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
     todo = [v for v in range(n) if not left[v]]
     while todo:
         v = todo.pop()
-        for u in radj[v]:
-            left[u] -= 1
-            if not left[u]:
-                todo.append(u)
+        for u in into[v]:
+            if owner[u] == player or moves[u] == v:
+                left[u] -= 1
+                if not left[u]:
+                    todo.append(u)
 
     # Reachable-terminal optima as class indices, best class first; the
     # breadth-first layers of each class double as its routing structure.
@@ -242,8 +244,8 @@ def response_tables(game: TerminalGame, situation: Situation, player: int) -> Re
             depth += 1
             nxt = []
             for v in frontier:
-                for u in radj[v]:
-                    if best_class[u] < 0:
+                for u in into[v]:
+                    if best_class[u] < 0 and (owner[u] == player or moves[u] == v):
                         best_class[u] = k
                         layer[u] = depth
                         nxt.append(u)
@@ -382,7 +384,7 @@ def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
 def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
     """In-tree over a component: each non-root member's move toward the root.
 
-    Built by reverse breadth-first search over the component's own moves, so
+    Built by ``graphalg.tree_toward`` over the component's own moves, so
     lifted walks are as short as possible; within a layer the lowest-id
     parent wins. Memoised on ``cmap``, so every lift through one contraction
     builds each tree once.
@@ -390,25 +392,9 @@ def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
     tree = cmap._trees.get((cid, root))
     if tree is not None:
         return tree
-    g = cmap.graph
-    into: dict[int, list[int]] = {v: [] for v in cmap.members[cid]}
-    for v in into:
-        for u in g.out[v]:
-            if u in into and u != v:
-                into[u].append(v)
-    tree: dict[int, int] = {}
-    layer = [root]
-    reached = {root}
-    while layer:
-        nxt: dict[int, int] = {}
-        for u in layer:
-            for v in into[u]:
-                if v not in reached and (v not in nxt or u < nxt[v]):
-                    nxt[v] = u
-        tree.update(nxt)
-        reached.update(nxt)
-        layer = list(nxt)
-    if len(reached) < len(into):
+    members = cmap.members[cid]
+    tree = graphalg.tree_toward(cmap.graph._into, [root], frozenset(members))
+    if len(tree) + 1 < len(members):
         raise InternalCheckFailed(f"component {cid} not strongly connected")
     cmap._trees[cid, root] = tree
     return tree
@@ -475,6 +461,6 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
         dropped.extend((v, w) for w in g.out[v] if g.is_terminal(w) and w != best)
     pruned = small.restricted(g.edge_set.difference(dropped))
     pg = pruned.graph
-    can_reach = graphalg.reachable_to(pg.n_vertices, pg.edge_set, pg.terminals)
+    can_reach = graphalg.tree_toward(pg._into, pg.terminals, range(pg.n_vertices))
     unreachable = frozenset(v for v in pg.nonterminals if v not in can_reach)
     return UnePrep(pruned, cmap, tuple(dropped), unreachable)

@@ -26,7 +26,7 @@ from .reductions import _check_table_values, contract_small_game, lift_situation
 
 def _solve_contracted(game: TerminalGame, v0: int) -> Situation:
     g = game.graph
-    if v0 not in graphalg.reachable_to(g.n_vertices, g.edge_set, g.terminals):
+    if v0 not in graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices)):
         return lowest_id_situation(g)
 
     own_terminals = [w for w in g.out[v0] if g.is_terminal(w)]

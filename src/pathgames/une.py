@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import graphalg
 from .errors import (
     ConditionViolated,
     InternalCheckFailed,
@@ -138,36 +139,28 @@ def initial_basic_situation(
 ) -> Situation:
     """Starting situation with finite plays everywhere that can have them.
 
-    Terminal-adjacent vertices take their controller-best terminal move;
-    everyone else is colored breadth-first toward that set, pointing at the
-    lowest-id already-colored neighbor. Vertices that cannot reach a
-    terminal take their lowest-id move and stay out of the dynamics.
+    Terminal-adjacent vertices take their controller-best terminal move.
+    Every other vertex follows the reverse breadth-first in-tree toward
+    that set (``graphalg.tree_toward``): it points at the lowest-id
+    out-neighbor one layer closer. Vertices that cannot reach a terminal
+    take their lowest-id move and stay out of the dynamics.
     """
     g = game.graph
     choice: dict[int, int] = {}
-    colored = set(g.terminals)
+    roots: list[int] = []
+    pending: set[int] = set()
     for v in g.nonterminals:
         if v in unreachable:
             choice[v] = g.out[v][0]
-            continue
-        best = game.best_terminal(v)
-        if best is not None:
+        elif (best := game.best_terminal(v)) is not None:
             choice[v] = best
-            colored.add(v)
-    pending = [v for v in g.nonterminals if v not in choice]
-    while pending:
-        frontier = [
-            (v, [w for w in g.out[v] if w in colored])
-            for v in sorted(pending)
-        ]
-        frontier = [(v, ws) for v, ws in frontier if ws]
-        if not frontier:
-            raise InternalCheckFailed("uncolored vertex cannot reach the colored region")
-        for v, ws in frontier:
-            choice[v] = ws[0]
-        for v, _ in frontier:
-            colored.add(v)
-        pending = [v for v in pending if v not in choice]
+            roots.append(v)
+        else:
+            pending.add(v)
+    tree = graphalg.tree_toward(g._into, roots, pending)
+    if len(tree) < len(pending):
+        raise InternalCheckFailed("uncolored vertex cannot reach the colored region")
+    choice.update(tree)
     return Situation.of(g, choice)
 
 

@@ -217,10 +217,36 @@ def test_bellman_ford_potentials_relax_all_edges():
             assert pot[u] + iweight(u, v) >= pot[v]
 
 
-def test_reachable_to():
+def _tree(n, edges, roots, joins=None):
+    into = graphalg.out_adjacency(n, [(v, u) for u, v in edges])
+    return graphalg.tree_toward(into, roots, range(n) if joins is None else joins)
+
+
+def test_tree_toward():
     n, edges = 5, [(0, 1), (1, 2), (3, 3)]
-    assert graphalg.reachable_to(n, edges, [2]) == {0, 1, 2}
-    assert graphalg.reachable_to(n, edges, [4]) == {4}
+    assert _tree(n, edges, [2]).keys() | {2} == {0, 1, 2}
+    assert _tree(n, edges, [4]).keys() | {4} == {4}
+
+
+def test_tree_toward_takes_the_lowest_id_parent_one_layer_closer():
+    # layer 1 is {5, 6}; 1 reaches both and takes 5; 2 reaches 6 and the
+    # lower-id 1, but 1 is in 2's own layer
+    edges = [(5, 0), (6, 0), (1, 5), (1, 6), (2, 1), (2, 6), (3, 2)]
+    assert _tree(7, edges, [0]) == {5: 0, 6: 0, 1: 5, 2: 6, 3: 2}
+
+
+def test_tree_toward_joins_only_listed_vertices():
+    # without 1, vertex 2 routes through 3, and 4 (only behind 1) is left out
+    edges = [(1, 0), (3, 0), (2, 1), (2, 3), (4, 1)]
+    assert _tree(5, edges, [0]) == {1: 0, 3: 0, 2: 1, 4: 1}
+    assert _tree(5, edges, [0], {2, 3, 4}) == {3: 0, 2: 3}
+
+
+def test_tree_toward_ignores_self_loops_and_never_keys_a_root():
+    edges = [(0, 0), (1, 1), (1, 0), (2, 2), (0, 3), (3, 0)]
+    assert _tree(4, edges, [0]) == {1: 0, 3: 0}
+    assert _tree(4, edges, [0, 3]) == {1: 0}
+    assert _tree(4, edges, [0, 1, 3]) == {}
 
 
 def test_wrong_minimum_mean_fails_the_cycle_extraction(monkeypatch):

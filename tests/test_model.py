@@ -82,6 +82,15 @@ def test_wrong_arity_cost_vectors_raise(costs):
         terminal_game([1, None], [(0, 1)], {1: (-1, -1)}, 2, infinite_cost=costs)
 
 
+@pytest.mark.parametrize("key", [0, 7, -1, "1"])
+def test_terminal_cost_keys_must_name_terminals(key):
+    # a non-terminal, an absent vertex or a string is not kept silently: the
+    # game would validate, and game_to_dict would then drop the key
+    with pytest.raises(PathgamesError,
+                       match=rf"^terminal_cost key {key!r} does not name a terminal vertex$"):
+        terminal_game([1, None], [(0, 1)], {1: (-1,), key: (5,), 9: (3,)}, 1)
+
+
 def test_edge_symmetric(fig1_pm, g6):
     assert is_edge_symmetric(fig1_pm.graph)
     assert not is_edge_symmetric(g6.graph)

@@ -167,7 +167,7 @@ def test_outcomes_match_trace_on_random_situations():
         else:
             game = genutil.random_ring_ciw_terminal(rng, max_v=14)
         g = game.graph
-        can_reach = graphalg.reachable_to(g.n_vertices, g.edge_set, g.terminals)
+        can_reach = graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices))
         for _ in range(4):
             s = Situation.of(g, {v: rng.choice(g.out[v]) for v in g.nonterminals})
             ends = outcomes(g, s)

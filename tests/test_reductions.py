@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +18,7 @@ from pathgames.errors import (
     NonPositiveCycle,
 )
 from pathgames.model import (
+    GameGraph,
     Situation,
     is_positive,
     merge_terminals,
@@ -22,6 +26,8 @@ from pathgames.model import (
     terminal_game,
 )
 from pathgames.play import sp_cost, terminal_cost, trace
+from pathgames.terminalne import solve_theorem2
+from pathgames.une import solve_theorem3
 from pathgames.reductions import (
     _tree_toward,
     contract_small_game,
@@ -410,3 +416,50 @@ def test_lift_rejects_a_component_that_is_not_strongly_connected(chain):
     broken = dataclasses.replace(cmap, members=((0, 2),) + cmap.members[1:])
     with pytest.raises(InternalCheckFailed, match="component 0 not strongly connected"):
         lift_situation(Situation((1, 2, None)), broken)
+
+
+
+def _solve_seeded_terminal_games():
+    rng = random.Random(29)
+    games = [genutil.random_symmetric_terminal(rng, max_v=12, ciw=True) for _ in range(30)]
+    games += [genutil.random_ring_ciw_terminal(rng, max_v=14) for _ in range(10)]
+    for game in games:
+        for start in game.graph.nonterminals:
+            solve_theorem2(game, start)
+        solve_theorem3(game)
+    return games
+
+
+def test_terminal_solvers_sort_rows_only_for_the_graphs_they_build(monkeypatch):
+    # Theorems 2 and 3 sort forward rows only as a graph's out rows or its
+    # per-player components, once each per graph; no search reverses edges
+    sorted_rows = []
+    real = graphalg.out_adjacency
+
+    def counting(n, edges):
+        caller = sys._getframe(1)
+        sorted_rows.append((caller.f_code.co_name, caller.f_locals.get("self")))
+        return real(n, edges)
+
+    monkeypatch.setattr(graphalg, "out_adjacency", counting)
+    _solve_seeded_terminal_games()
+    assert {name for name, _ in sorted_rows} == {"out", "_player_components"}
+    assert all(isinstance(graph, GameGraph) for _, graph in sorted_rows)
+    # the graphs stay referenced in sorted_rows, so their ids are distinct
+    assert max(Counter((name, id(graph)) for name, graph in sorted_rows).values()) == 1
+
+
+def test_terminal_solvers_reverse_each_graph_once(monkeypatch):
+    built = []
+    real = GameGraph.__dict__["_into"].func
+
+    def counting(graph):
+        built.append(graph)
+        return real(graph)
+
+    into = functools.cached_property(counting)
+    into.__set_name__(GameGraph, "_into")
+    monkeypatch.setattr(GameGraph, "_into", into)
+    games = _solve_seeded_terminal_games()
+    assert len(built) >= len(games)
+    assert max(Counter(map(id, built)).values()) == 1

@@ -6,14 +6,16 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import genutil
+import une_reference
 import pathgames
 from pathgames import graphalg, oracle, play, une
-from pathgames.errors import ConditionViolated, PotentialNotDecreased
+from pathgames.errors import ConditionViolated, InternalCheckFailed, PotentialNotDecreased
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import _check_table_values, une_preprocess
@@ -263,6 +265,63 @@ def test_initial_basic_plays_finite_random():
             if v in prep.unreachable:
                 continue
             assert trace(g, sigma, v).is_terminal
+
+
+def _board_with_terminal_choices(rng, n_players, symmetric=False):
+    """A terminal board where vertices often hold several terminal moves, so
+    a controller's best terminal is often not the lowest id. A symmetric
+    board has sparser exits, so some regions cannot reach a terminal."""
+    n_pos = rng.randint(2, 10)
+    n_term = rng.randint(2, 4)
+    owners = [rng.randint(1, n_players) for _ in range(n_pos)] + [None] * n_term
+    edges = {(u, v) for u in range(n_pos) for v in range(n_pos) if rng.random() < 0.25}
+    for u in range(n_pos):
+        if rng.random() < (0.2 if symmetric else 0.4):
+            exits = rng.sample(range(n_pos, n_pos + n_term), rng.randint(1, n_term))
+            edges.update((u, w) for w in exits)
+        if not any(e[0] == u for e in edges):
+            edges.add((u, rng.randrange(n_pos + n_term)))
+    if symmetric:
+        edges |= {(v, u) for u, v in edges if v < n_pos}
+    tcost = {w: tuple(rng.randint(-6, -1) for _ in range(n_players))
+             for w in range(n_pos, n_pos + n_term)}
+    return terminal_game(owners, edges, tcost, n_players)
+
+
+def _start_or_error(build, game, unreachable):
+    try:
+        return build(game, unreachable)
+    except InternalCheckFailed as exc:
+        return str(exc)
+
+
+def test_initial_basic_situation_matches_the_colouring_reference():
+    rng = random.Random(17)
+    covered = Counter()
+    for k in range(330):
+        if k % 3 == 2:
+            prep = une_preprocess(_board_with_terminal_choices(rng, 2, symmetric=True))
+            game, unreachable = prep.game, prep.unreachable
+            covered["preprocessed with unreachable vertices"] += bool(unreachable)
+        else:
+            game = _board_with_terminal_choices(rng, 2 + k % 3)
+            unreachable = frozenset()
+            covered["3 players"] += game.graph.n_players == 3
+        g = game.graph
+        covered["best terminal is not the lowest id"] += any(
+            game.best_terminal(v) != next((w for w in g.out[v] if g.is_terminal(w)), None)
+            for v in g.nonterminals
+        )
+        got = _start_or_error(initial_basic_situation, game, unreachable)
+        assert got == _start_or_error(une_reference.initial_basic_situation, game, unreachable)
+        if isinstance(got, str):
+            covered["no route to a terminal"] += 1
+        else:
+            covered["two or more layers"] += any(
+                not g.is_terminal(got[v]) and not g.is_terminal(got[got[v]])
+                for v in g.nonterminals if v not in unreachable
+            )
+    assert min(covered.values()) >= 30, covered
 
 
 def test_solve_chain(chain):
