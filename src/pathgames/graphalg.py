@@ -1,9 +1,10 @@
 """Deterministic exact-arithmetic graph primitives.
 
-All functions work on vertices 0..n-1, given either explicit edge lists
-or adjacency rows (``out[v]`` lists v's out-neighbours, ``into[v]`` its
-in-neighbours, each in increasing id order), and weight callables
-returning ``int``s. Callers with rational costs multiply them by
+Every kernel takes one graph format: adjacency rows over vertices
+0..len(rows)-1, where ``out[v]`` lists v's out-neighbours (``into[v]`` its
+in-neighbours) in increasing id order without duplicates, as
+``GameGraph.out`` and ``GameGraph._into`` cache them per graph. Weight
+callables return ``int``s. Callers with rational costs multiply them by
 one positive common multiple of the denominators first (``SPGame`` keeps
 one such integer table per game). Scaling keeps every sum, comparison and
 tie, so an integer result ``r`` stands exactly for ``r / scale``.
@@ -21,6 +22,7 @@ from typing import Callable, Container, Iterable, Sequence
 from .errors import InternalCheckFailed
 
 Weight = Callable[[int, int], int]
+Rows = Sequence[Sequence[int]]
 
 
 def out_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -32,13 +34,12 @@ def out_adjacency(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     return adj
 
 
-def strongly_connected_components(
-    n: int, out: Sequence[Sequence[int]]
-) -> list[list[int]]:
+def strongly_connected_components(out: Rows) -> list[list[int]]:
     """Tarjan's algorithm, iterative.
 
     Components are returned with sorted members, ordered by smallest member.
     """
+    n = len(out)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -89,7 +90,7 @@ def strongly_connected_components(
 
 
 def tree_toward(
-    into: Sequence[Sequence[int]], roots: Iterable[int], joins: Container[int]
+    into: Rows, roots: Iterable[int], joins: Container[int]
 ) -> dict[int, int]:
     """Reverse breadth-first in-tree toward ``roots``.
 
@@ -115,32 +116,26 @@ def tree_toward(
 
 
 def _lex_dist(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    weight: Weight,
-    seeds: Iterable[int],
-    forward: bool,
+    out: Rows, weight: Weight, seeds: Iterable[int], forward: bool
 ) -> list[tuple[int, int] | None]:
-    """Lexicographic (cost, hops) Dijkstra from ``seeds``.
+    """Lexicographic (cost, hops) Dijkstra from ``seeds`` over ``out`` rows.
 
-    With ``forward`` the search follows the edges (distances from the
-    seeds), otherwise it runs against them (distances to the seeds). The
-    direction is applied here rather than by reversing the edge list, so a
-    negative weight is reported on the caller's edge, the first in sorted
-    order. The distances do not depend on the order of ``edges``.
+    With ``forward`` the search follows the moves (distances from the
+    seeds), otherwise it runs against them (distances to the seeds). Every
+    move is weighted before the search, in row order, so the first negative
+    weight raised is the first in sorted order, whatever the seeds reach.
     """
+    n = len(out)
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    negative = []
-    for u, v in edges:
-        w = weight(u, v)
-        if w < 0:
-            negative.append((u, v))
-        elif forward:
-            adj[u].append((v, w))
-        else:
-            adj[v].append((u, w))
-    if negative:
-        raise ValueError(f"negative weight on edge {min(negative)}")
+    for u, row in enumerate(out):
+        for v in row:
+            w = weight(u, v)
+            if w < 0:
+                raise ValueError(f"negative weight on edge {(u, v)}")
+            if forward:
+                adj[u].append((v, w))
+            else:
+                adj[v].append((u, w))
     dist: list[tuple[int, int] | None] = [None] * n
     heap = [(0, 0, s) for s in sorted(set(seeds))]  # sorted, so already a heap
     for _, _, s in heap:
@@ -163,10 +158,7 @@ def _lex_dist(
 
 
 def lex_dist_to(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    weight: Weight,
-    targets: Iterable[int],
+    out: Rows, weight: Weight, targets: Iterable[int]
 ) -> list[tuple[int, int] | None]:
     """Lexicographic (cost, hops) shortest distance from each vertex to targets.
 
@@ -174,22 +166,19 @@ def lex_dist_to(
     Together with :func:`canonical_path` this yields one well-defined optimal
     path per query: cheapest, then fewest edges, then lowest vertex ids.
     """
-    return _lex_dist(n, edges, weight, targets, forward=False)
+    return _lex_dist(out, weight, targets, forward=False)
 
 
 def lex_dist_from(
-    n: int,
-    edges: Iterable[tuple[int, int]],
-    weight: Weight,
-    sources: Iterable[int],
+    out: Rows, weight: Weight, sources: Iterable[int]
 ) -> list[tuple[int, int] | None]:
     """Forward counterpart of :func:`lex_dist_to`."""
-    return _lex_dist(n, edges, weight, sources, forward=True)
+    return _lex_dist(out, weight, sources, forward=True)
 
 
 def canonical_path(
     start: int,
-    out: Sequence[Sequence[int]],
+    out: Rows,
     weight: Weight,
     dist: Sequence[tuple[int, int] | None],
 ) -> list[int]:
@@ -208,15 +197,14 @@ def canonical_path(
     return path
 
 
-def bellman_ford_potentials(
-    n: int, edges: Iterable[tuple[int, int]], weight: Weight
-) -> list[int]:
+def bellman_ford_potentials(out: Rows, weight: Weight) -> list[int]:
     """Shortest walk cost to each vertex from a virtual all-zero source.
 
     The caller must guarantee there is no negative cycle; InternalCheckFailed
     here means that guarantee was broken.
     """
-    weighted = [(u, v, weight(u, v)) for u, v in sorted(set(edges))]
+    n = len(out)
+    weighted = [(u, v, weight(u, v)) for u, row in enumerate(out) for v in row]
     dist = [0] * n
     for _ in range(n):
         changed = False
@@ -273,14 +261,17 @@ def _extract_mean_cycle(
     """Find a cycle of the given (minimum) mean ``num / den`` inside one component.
 
     ``ledges`` are the component's edges over local ids (positions in
-    ``comp``). After shifting every weight by the mean, minimum-mean cycles
-    become zero-sum and lie entirely on tight shortest-path edges; the shift
-    is multiplied by ``den`` to stay integral.
+    ``comp``), in sorted order. After shifting every weight by the mean,
+    minimum-mean cycles become zero-sum and lie entirely on tight
+    shortest-path edges; the shift is multiplied by ``den`` to stay integral.
     """
     num, den = mean
     m = len(comp)
     shifted = {(u, v): w * den - num for u, v, w in ledges}
-    pot = bellman_ford_potentials(m, shifted, lambda u, v: shifted[u, v])
+    rows: list[list[int]] = [[] for _ in range(m)]
+    for u, v in shifted:
+        rows[u].append(v)
+    pot = bellman_ford_potentials(rows, lambda u, v: shifted[u, v])
     tight: list[list[int]] = [[] for _ in range(m)]
     for (u, v), s in shifted.items():
         if pot[u] + s == pot[v]:
@@ -320,18 +311,19 @@ def _extract_mean_cycle(
     raise InternalCheckFailed(f"no cycle of mean {num}/{den} found in component {comp}")
 
 
-def min_cycle_mean(
-    n: int, edges: Iterable[tuple[int, int]], weight: Weight
-) -> tuple[Fraction | None, list[int] | None]:
-    """Exact minimum directed-cycle mean and, when it is <= 0, a witness cycle.
+def min_cycle_mean(out: Rows, weight: Weight) -> tuple[Fraction | None, list[int] | None]:
+    """Exact minimum directed-cycle mean of the ``out`` rows and, when it
+    is <= 0, a witness cycle.
 
-    Returns (None, None) when the graph is acyclic and (mean, None) when
-    the mean is positive: extracting the witness costs a second
-    Bellman-Ford and a search, and only callers that reject a non-positive
-    cycle read it. The witness cycle is listed from its smallest vertex.
+    Karp's recurrence runs per strongly connected component, on weighted
+    triples of the component's moves over local ids. Returns (None, None)
+    when the graph is acyclic and (mean, None) when the mean is positive:
+    extracting the witness costs a second Bellman-Ford and a search, and
+    only callers that reject a non-positive cycle read it. The witness
+    cycle is listed from its smallest vertex.
     """
-    edge_list = sorted(set(edges))
-    comps = strongly_connected_components(n, out_adjacency(n, edge_list))
+    n = len(out)
+    comps = strongly_connected_components(out)
     comp_id = [0] * n
     local = [0] * n
     for i, comp in enumerate(comps):
@@ -339,9 +331,10 @@ def min_cycle_mean(
             comp_id[v] = i
             local[v] = j
     inner: list[list[tuple[int, int, int]]] = [[] for _ in comps]
-    for u, v in edge_list:
-        if comp_id[u] == comp_id[v]:
-            inner[comp_id[u]].append((local[u], local[v], weight(u, v)))
+    for u, row in enumerate(out):
+        for v in row:
+            if comp_id[u] == comp_id[v]:
+                inner[comp_id[u]].append((local[u], local[v], weight(u, v)))
     best: tuple[int, int] | None = None
     best_i = 0
     for i, comp in enumerate(comps):

@@ -21,7 +21,7 @@ from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 from . import graphalg
-from .errors import PathgamesError
+from .errors import PathgamesError, PreconditionError
 
 TERMINAL = None
 
@@ -143,13 +143,12 @@ class GameGraph:
 
         Terminals are singletons. Computed once per graph.
         """
+        owner = self.owner
         intra = [
-            (u, v)
-            for u, v in self.edge_set
-            if not self.is_terminal(v) and self.owner[u] == self.owner[v]
+            [v for v in row if owner[v] is not None and owner[v] == owner[u]]
+            for u, row in enumerate(self.out)
         ]
-        adj = graphalg.out_adjacency(self.n_vertices, intra)
-        comps = graphalg.strongly_connected_components(self.n_vertices, adj)
+        comps = graphalg.strongly_connected_components(intra)
         comp_of = [0] * self.n_vertices
         for cid, comp in enumerate(comps):
             for v in comp:
@@ -162,7 +161,7 @@ class GameGraph:
         return tuple([tuple(c) for c in comps]), tuple(comp_of)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_set)
+        return [(u, v) for u, row in enumerate(self.out) for v in row]
 
     def name(self, v: int) -> str:
         return self.names[v]
@@ -357,6 +356,34 @@ class Situation:
         )
 
 
+def _start_or_initial(graph: GameGraph, start: int | None) -> int | None:
+    """``start``, or the graph's initial vertex when ``start`` is None.
+
+    A start outside 0..|V|-1 raises PreconditionError before anything
+    indexes with it: a negative id would silently name a vertex from the end.
+    """
+    if start is None:
+        return graph.initial
+    if not 0 <= start < graph.n_vertices:
+        raise PreconditionError(f"start vertex {start} outside 0..{graph.n_vertices - 1}")
+    return start
+
+
+def one_player_out(
+    graph: GameGraph, player: int, fixed: Sequence[int | None]
+) -> list[list[int]]:
+    """Adjacency rows of one player's relaxation.
+
+    The player keeps every move; any other vertex keeps only ``fixed[v]``,
+    or no move when that is None. Rows stay sorted, as the graph kernels
+    require.
+    """
+    return [
+        list(out) if owner == player else ([] if move is None else [move])
+        for owner, out, move in zip(graph.owner, graph.out, fixed)
+    ]
+
+
 def lowest_id_situation(graph: GameGraph) -> Situation:
     """Every non-terminal vertex takes its lowest-id out-neighbor."""
     return Situation.of(graph, {v: graph.out[v][0] for v in graph.nonterminals if graph.out[v]})
@@ -435,9 +462,8 @@ def is_positive(game: SPGame) -> PositivityReport:
     if _edge_positive(game):
         return PositivityReport(True, True)
     g = game.graph
-    edges = g.sorted_edges()
     for player in g.players:
-        mean, cycle = graphalg.min_cycle_mean(g.n_vertices, edges, game._int_weight(player))
+        mean, cycle = graphalg.min_cycle_mean(g.out, game._int_weight(player))
         if mean is not None and mean <= 0:
             return PositivityReport(False, False, player, tuple(cycle))
     return PositivityReport(False, True)

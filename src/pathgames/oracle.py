@@ -30,6 +30,8 @@ from .model import (
     Situation,
     TerminalGame,
     _edge_positive,
+    _start_or_initial,
+    one_player_out,
 )
 from .play import Play, sp_cost, terminal_cost, trace
 
@@ -100,8 +102,7 @@ def effective_cost(game: Game, play, player: int):
 
 
 def _require_start(game: Game, start: int | None) -> int:
-    if start is None:
-        start = game.graph.initial
+    start = _start_or_initial(game.graph, start)
     if start is None:
         raise PathgamesError("no start vertex given and game has no initial vertex")
     if game.graph.is_terminal(start):
@@ -271,16 +272,6 @@ class VerifyReport:
         return self.ok
 
 
-def _one_player_edges(graph: GameGraph, situation: Situation, player: int):
-    edges = []
-    for v in graph.nonterminals:
-        if graph.owner[v] == player:
-            edges.extend((v, u) for u in graph.out[v])
-        else:
-            edges.append((v, situation[v]))
-    return edges
-
-
 def verify_ne_sp(
     game: SPGame,
     situation: Situation,
@@ -300,15 +291,14 @@ def verify_ne_sp(
         play = trace(g, situation, start)
         walked = play.path_edges() if play.is_terminal else None
         for player in g.players:
-            edges = _one_player_edges(g, situation, player)
+            adj = one_player_out(g, player, situation.moves)
             weight = game._int_weight(player)
-            dist = graphalg.lex_dist_to(g.n_vertices, edges, weight, g.terminals)
+            dist = graphalg.lex_dist_to(adj, weight, g.terminals)
             reach = dist[start]
             better = reach is not None and (
                 walked is None or reach[0] < sum(weight(u, v) for u, v in walked)
             )
             if better:
-                adj = graphalg.out_adjacency(g.n_vertices, edges)
                 path = graphalg.canonical_path(start, adj, weight, dist)
                 override = {u: w for u, w in zip(path, path[1:]) if g.owner[u] == player}
                 cost = Fraction(reach[0], game._int_costs[0])

@@ -84,12 +84,12 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     rows = []  # per player: (common factor, reduced unit, new costs in units)
     for player in g.players:
         weight = game._int_weight(player)
-        mean, cycle = graphalg.min_cycle_mean(n, edges, weight)
+        mean, cycle = graphalg.min_cycle_mean(g.out, weight)
         if mean is not None and mean <= 0:
             raise NonPositiveCycle(player, tuple(cycle))
         num, den = (mean.numerator, mean.denominator) if mean is not None else (2 * scale, 1)
         shifted = {(u, v): 2 * den * weight(u, v) - num for u, v in edges}
-        pi = graphalg.bellman_ford_potentials(n, edges, lambda u, v: shifted[u, v])
+        pi = graphalg.bellman_ford_potentials(g.out, lambda u, v: shifted[u, v])
         unit = 2 * scale * den
         potentials.append(tuple(pi))
         units.append(unit)
@@ -163,20 +163,6 @@ def _ciw_violations(game: TerminalGame) -> list[tuple[int, int | None]]:
             bad.append((player, None))
         bad.extend((player, w) for w in g.terminals if row[w] >= row[None])
     return bad
-
-
-def one_player_out(
-    graph: GameGraph, player: int, fixed: Sequence[int | None]
-) -> list[list[int]]:
-    """Moves of one player's relaxation, per vertex.
-
-    The player keeps every move; any other vertex keeps only ``fixed[v]``,
-    or no move when that is None.
-    """
-    return [
-        list(out) if owner == player else ([] if move is None else [move])
-        for owner, out, move in zip(graph.owner, graph.out, fixed)
-    ]
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import graphalg, oracle
 from .errors import (
@@ -30,11 +31,13 @@ from .model import (
     SPGame,
     Situation,
     _edge_positive,
+    _start_or_initial,
     is_edge_symmetric,
     lowest_id_situation,
     merge_terminals,
+    one_player_out,
 )
-from .reductions import gallai_transform, one_player_out
+from .reductions import gallai_transform
 
 log = logging.getLogger(__name__)
 
@@ -151,7 +154,7 @@ def lambda_shortest(game: SPGame, dec: ComponentDecomposition, v0: int) -> Speci
     g = game.graph
     vt = g.terminals[0]
     lam = lambda u, v: int(dec.comp_of[u] != dec.comp_of[v])
-    dist = graphalg.lex_dist_to(g.n_vertices, g.edge_set, lam, [vt])
+    dist = graphalg.lex_dist_to(g.out, lam, [vt])
     if dist[v0] is None:
         raise Unreachable(f"terminal not reachable from vertex {v0}")
     path = graphalg.canonical_path(v0, g.out, lam, dist)
@@ -174,8 +177,10 @@ def _entry_distances(
     g = game.graph
     owner = dec.comp_owner[comp]
     inside = set(members)
-    edges = [(a, b) for a in members for b in g.out[a] if b in inside]
-    dist = graphalg.lex_dist_from(g.n_vertices, edges, game._int_weight(owner), [source])
+    rows: list[Sequence[int]] = [()] * g.n_vertices
+    for a in members:
+        rows[a] = [b for b in g.out[a] if b in inside]
+    dist = graphalg.lex_dist_from(rows, game._int_weight(owner), [source])
     if any(dist[m] is None for m in members):
         raise InternalCheckFailed("component is not strongly connected")
     return {m: dist[m][0] for m in members}
@@ -202,12 +207,7 @@ def _speciality_gap(
     for u, v in zip(path, path[1:]):
         on_path[u] = v
     adj = one_player_out(g, player, on_path)
-    dist = graphalg.lex_dist_to(
-        g.n_vertices,
-        ((u, v) for u, row in enumerate(adj) for v in row),
-        game._int_weight(player),
-        [g.terminals[0]],
-    )
+    dist = graphalg.lex_dist_to(adj, game._int_weight(player), [g.terminals[0]])
     if dist[path[0]] is None:
         raise InternalCheckFailed("path start cannot reach the terminal in its relaxation")
     gap = dist[path[0]][0] - _path_cost(game, list(path), player)
@@ -245,18 +245,15 @@ def _best_splice(
             segment_cost = _path_cost(game, path[a : b + 1], player)
             banned = set(path[: a + 1]) | set(path[b:])
             interior = (comp_members - banned) | {w}
-            edges = []
-            for x in [v] + sorted(interior - {w}):
-                for y in g.out[x]:
-                    if y in interior:
-                        edges.append((x, y))
-            dist = graphalg.lex_dist_to(g.n_vertices, edges, weight, [w])
+            rows: list[Sequence[int]] = [()] * g.n_vertices
+            for x in (interior - {w}) | {v}:
+                rows[x] = [y for y in g.out[x] if y in interior]
+            dist = graphalg.lex_dist_to(rows, weight, [w])
             if dist[v] is None or dist[v][0] >= segment_cost:
                 continue
             key = (dist[v][0] - segment_cost, a, b)
             if best is None or key < best[0]:
-                adj = graphalg.out_adjacency(g.n_vertices, edges)
-                splice = graphalg.canonical_path(v, adj, weight, dist)
+                splice = graphalg.canonical_path(v, rows, weight, dist)
                 best = (key, path[:a] + splice + path[b + 1 :])
     return best[1] if best else None
 
@@ -351,8 +348,7 @@ def solve_theorem1(
     infinitely bad for everyone, so the all-lowest-id situation is returned.
     """
     g = game.graph
-    if start is None:
-        start = g.initial
+    start = _start_or_initial(g, start)
     if start is None or g.is_terminal(start):
         raise PreconditionError("a non-terminal start vertex is required")
     if not is_edge_symmetric(g):

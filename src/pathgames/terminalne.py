@@ -17,6 +17,7 @@ from .model import (
     GameGraph,
     Situation,
     TerminalGame,
+    _start_or_initial,
     is_edge_symmetric,
     lowest_id_situation,
 )
@@ -100,8 +101,7 @@ def solve_theorem2(game: TerminalGame, start: int | None = None) -> Situation:
     enumerates strategies.
     """
     g = game.graph
-    if start is None:
-        start = g.initial
+    start = _start_or_initial(g, start)
     if start is None or g.is_terminal(start):
         raise PreconditionError("a non-terminal start vertex is required")
     if not is_edge_symmetric(g):

@@ -2,9 +2,11 @@
 
 These are straightforward exact implementations of the minimum cycle mean
 (Karp 1978), its witness cycle, Bellman-Ford potentials and the
-lexicographic (cost, hops) Dijkstra in both directions. The library runs
-the same algorithms on integer-scaled weights; tests require both to
-return identical values.
+lexicographic (cost, hops) Dijkstra in both directions. They take edge
+lists and build their own rows, with components from ``genutil.scc_naive``,
+so they share no code with the library's kernels. The library runs the
+same algorithms on integer-scaled weights over adjacency rows; tests
+require both to return identical values.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import heapq
 from fractions import Fraction
 
-from pathgames import graphalg
+import genutil
 
 
 def _lex_dijkstra(n, adj, step_weight, seeds):
@@ -160,8 +162,7 @@ def _extract_mean_cycle(comp, edges, weight, mean):
 
 def min_cycle_mean(n, edges, weight):
     edge_list = sorted(set(edges))
-    adj = graphalg.out_adjacency(n, edge_list)
-    comps = graphalg.strongly_connected_components(n, adj)
+    comps = genutil.scc_naive(n, genutil.out_rows(n, edge_list))
     comp_id = {}
     for i, comp in enumerate(comps):
         for v in comp:

@@ -16,11 +16,17 @@ from fractions import Fraction
 from pathgames.model import SPGame, TerminalGame, sp_game, terminal_game
 
 
-def simple_cycles(n, edges):
-    """All simple directed cycles, each listed from its smallest vertex."""
+def out_rows(n, edges):
+    """Adjacency rows of an edge list: sorted, without duplicates."""
     adj = [[] for _ in range(n)]
     for u, v in sorted(set(edges)):
         adj[u].append(v)
+    return adj
+
+
+def simple_cycles(n, edges):
+    """All simple directed cycles, each listed from its smallest vertex."""
+    adj = out_rows(n, edges)
     found = []
 
     def dfs(start, v, path, visited):
@@ -85,9 +91,7 @@ def count_calls(monkeypatch, module, name):
 
 def dijkstra_cost(n, edges, weight, source, targets):
     """Plain nonnegative-weight shortest distance, or None."""
-    adj = [[] for _ in range(n)]
-    for u, v in sorted(set(edges)):
-        adj[u].append(v)
+    adj = out_rows(n, edges)
     dist = {source: Fraction(0)}
     heap = [(Fraction(0), source)]
     done = set()

@@ -73,8 +73,8 @@ def test_scc_matches_naive():
     rng = random.Random(1)
     for _ in range(60):
         n, edges = random_digraph(rng)
-        adj = graphalg.out_adjacency(n, edges)
-        assert graphalg.strongly_connected_components(n, adj) == genutil.scc_naive(n, adj)
+        adj = genutil.out_rows(n, edges)
+        assert graphalg.strongly_connected_components(adj) == genutil.scc_naive(n, adj)
 
 
 def test_min_cycle_mean_against_brute_force():
@@ -82,7 +82,8 @@ def test_min_cycle_mean_against_brute_force():
     for n, edges, weights in weighted_digraphs(rng, 60):
         weight = lambda u, v: weights[(u, v)]
         iweight, scale = int_weights(weights)
-        mean, cycle = graphalg.min_cycle_mean(n, edges, iweight)
+        rows = genutil.out_rows(n, edges)
+        mean, cycle = graphalg.min_cycle_mean(rows, iweight)
         if mean is not None and mean > 0:
             # A witness comes only with a mean <= 0. Shifting every weight
             # by the mean keeps the minimum-mean cycles and makes their
@@ -90,7 +91,7 @@ def test_min_cycle_mean_against_brute_force():
             assert cycle is None
             num, den = mean.numerator, mean.denominator
             shifted = lambda u, v: iweight(u, v) * den - num
-            zero, cycle = graphalg.min_cycle_mean(n, edges, shifted)
+            zero, cycle = graphalg.min_cycle_mean(rows, shifted)
             assert zero == 0
         if mean is not None:
             mean /= scale
@@ -118,7 +119,7 @@ def test_lex_dist_matches_plain_dijkstra():
         weight = lambda u, v: weights[(u, v)]
         target = rng.randrange(n)
         iweight, scale = int_weights(weights)
-        dist = unscaled(graphalg.lex_dist_to(n, edges, iweight, [target]), scale)
+        dist = unscaled(graphalg.lex_dist_to(genutil.out_rows(n, edges), iweight, [target]), scale)
         for v in range(n):
             plain = genutil.dijkstra_cost(n, edges, weight, v, [target])
             if plain is None:
@@ -135,12 +136,12 @@ def test_lex_dist_matches_fraction_reference():
         back = lambda u, v: weights[(v, u)]
         iweight, scale = int_weights(weights)
         iback = lambda u, v: iweight(v, u)
-        adj = graphalg.out_adjacency(n, edges)
-        radj = graphalg.out_adjacency(n, [(v, u) for u, v in edges])
+        adj = genutil.out_rows(n, edges)
+        radj = genutil.out_rows(n, [(v, u) for u, v in edges])
         for k in (0, 1, 1, 2, 3):
             seeds = rng.sample(range(n), min(k, n))
-            to = graphalg.lex_dist_to(n, edges, iweight, seeds)
-            frm = graphalg.lex_dist_from(n, edges, iweight, seeds)
+            to = graphalg.lex_dist_to(adj, iweight, seeds)
+            frm = graphalg.lex_dist_from(adj, iweight, seeds)
             ref_to = fraction_kernels.lex_dist_to(n, edges, weight, seeds)
             ref_from = fraction_kernels.lex_dist_from(n, edges, weight, seeds)
             assert unscaled(to, scale) == ref_to and unscaled(frm, scale) == ref_from
@@ -165,17 +166,18 @@ def test_lex_dist_rejects_negative_weight():
     # also when the seeds cannot reach it
     weights = {(0, 1): 1, (1, 2): Fraction(-1, 3), (2, 0): -2, (3, 3): 0}
     iweight, _ = int_weights(weights)
-    for kernel, weight in (
-        (graphalg.lex_dist_to, iweight),
-        (graphalg.lex_dist_from, iweight),
-        (fraction_kernels.lex_dist_to, lambda u, v: weights[(u, v)]),
-        (fraction_kernels.lex_dist_from, lambda u, v: weights[(u, v)]),
+    weight = lambda u, v: weights[(u, v)]
+    for run in (
+        lambda edges, seeds: graphalg.lex_dist_to(genutil.out_rows(4, edges), iweight, seeds),
+        lambda edges, seeds: graphalg.lex_dist_from(genutil.out_rows(4, edges), iweight, seeds),
+        lambda edges, seeds: fraction_kernels.lex_dist_to(4, edges, weight, seeds),
+        lambda edges, seeds: fraction_kernels.lex_dist_from(4, edges, weight, seeds),
     ):
         for seeds in ([0], [3], []):
             with pytest.raises(ValueError, match=r"^negative weight on edge \(1, 2\)$"):
-                kernel(4, weights, weight, seeds)
+                run(weights, seeds)
         with pytest.raises(ValueError, match=r"^negative weight on edge \(2, 0\)$"):
-            kernel(4, [(0, 1), (2, 0)], weight, [1])
+            run([(0, 1), (2, 0)], [1])
 
 
 def test_canonical_path_is_optimal_and_deterministic():
@@ -185,8 +187,8 @@ def test_canonical_path_is_optimal_and_deterministic():
         weights = {e: Fraction(rng.randint(0, 6)) for e in edges}
         weight, _ = int_weights(weights)
         target = rng.randrange(n)
-        dist = graphalg.lex_dist_to(n, edges, weight, [target])
-        adj = graphalg.out_adjacency(n, edges)
+        adj = genutil.out_rows(n, edges)
+        dist = graphalg.lex_dist_to(adj, weight, [target])
         for v in range(n):
             if dist[v] is None:
                 continue
@@ -204,13 +206,14 @@ def test_bellman_ford_potentials_relax_all_edges():
     for n, edges, weights in weighted_digraphs(rng, 40):
         weight = lambda u, v: weights[(u, v)]
         iweight, scale = int_weights(weights)
+        rows = genutil.out_rows(n, edges)
         try:
             expected = fraction_kernels.bellman_ford_potentials(n, edges, weight)
         except AssertionError:
             with pytest.raises(InternalCheckFailed, match="negative cycle"):
-                graphalg.bellman_ford_potentials(n, edges, iweight)
+                graphalg.bellman_ford_potentials(rows, iweight)
             continue
-        pot = graphalg.bellman_ford_potentials(n, edges, iweight)
+        pot = graphalg.bellman_ford_potentials(rows, iweight)
         assert all(type(p) is int for p in pot)
         assert [Fraction(p, scale) for p in pot] == expected
         for u, v in edges:
@@ -218,7 +221,7 @@ def test_bellman_ford_potentials_relax_all_edges():
 
 
 def _tree(n, edges, roots, joins=None):
-    into = graphalg.out_adjacency(n, [(v, u) for u, v in edges])
+    into = genutil.out_rows(n, [(v, u) for u, v in edges])
     return graphalg.tree_toward(into, roots, range(n) if joins is None else joins)
 
 
@@ -253,4 +256,4 @@ def test_wrong_minimum_mean_fails_the_cycle_extraction(monkeypatch):
     # a mean below every cycle's leaves no zero-sum cycle on the tight edges
     monkeypatch.setattr(graphalg, "_karp_min_mean", lambda m, edges: (0, 1))
     with pytest.raises(InternalCheckFailed, match="no cycle of mean 0/1 found in component"):
-        graphalg.min_cycle_mean(2, [(0, 1), (1, 0)], lambda u, v: 1)
+        graphalg.min_cycle_mean([[1], [0]], lambda u, v: 1)

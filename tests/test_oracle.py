@@ -8,9 +8,11 @@ import pytest
 import genutil
 import oracle_reference
 from pathgames import oracle, play
-from pathgames.errors import TooLarge, ZeroSumMixedCycle
+from pathgames.errors import PreconditionError, TooLarge, ZeroSumMixedCycle
 from pathgames.model import ExtCost, SPGame, Situation, sp_game, terminal_game
 from pathgames.play import trace
+from pathgames.spne import solve_theorem1
+from pathgames.terminalne import solve_theorem2
 from pathgames.une import solve_theorem3
 
 INF = "+inf"
@@ -371,3 +373,22 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
             assert n_traces == len(starts) * (1 + per_start)
             terminal_passing += not isinstance(game, SPGame)
     assert passing >= 60 and terminal_passing >= 30, (passing, terminal_passing)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_start_outside_the_vertex_range_raises(start):
+    # -1 would index from the end and name vertex 2; 3 is past the last vertex
+    board = [(1, 0), (1, 2), (2, 1), (2, 0)]
+    terminal = terminal_game([None, 1, 2], board, {0: (-1, -2)}, 2)
+    sp = sp_game([None, 1, 2], {e: (1, 1) for e in board}, 2)
+    situation = Situation((None, 0, 0))
+    for run in (
+        lambda: solve_theorem1(sp, start),
+        lambda: solve_theorem2(terminal, start),
+        lambda: oracle.find_all_ne(terminal, start),
+        lambda: oracle.normal_form(sp, start),
+        lambda: oracle.verify_ne_sp(sp, situation, start),
+        lambda: oracle.verify_ne_terminal(terminal, situation, start),
+    ):
+        with pytest.raises(PreconditionError, match=rf"^start vertex {start} outside 0\.\.2$"):
+            run()

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import genutil
-from pathgames import graphalg, oracle
+from pathgames import graphalg, oracle, spne
 from pathgames.errors import (
     CIWViolated,
     ConditionViolated,
@@ -26,6 +26,7 @@ from pathgames.model import (
     terminal_game,
 )
 from pathgames.play import sp_cost, terminal_cost, trace
+from pathgames.spne import solve_theorem1
 from pathgames.terminalne import solve_theorem2
 from pathgames.une import solve_theorem3
 from pathgames.reductions import (
@@ -430,9 +431,27 @@ def _solve_seeded_terminal_games():
     return games
 
 
+def _solve_seeded_sp_games():
+    # each positive game plainly, then shifted by a per-player potential,
+    # which keeps cycle sums positive but makes some costs negative
+    rng = random.Random(31)
+    for _ in range(30):
+        game = genutil.random_symmetric_positive_sp(rng, max_v=12)
+        solve_theorem1(game)
+        g = game.graph
+        pot = [[Fraction(rng.randint(-30, 30), 10) for _ in g.owner] for _ in g.players]
+        costs = {
+            (u, v): tuple(c + pot[p][u] - pot[p][v] for p, c in enumerate(cs))
+            for (u, v), cs in game.edge_cost.items()
+        }
+        solve_theorem1(sp_game(g.owner, costs, g.n_players, initial=g.initial), transform=True)
+
+
 def test_terminal_solvers_sort_rows_only_for_the_graphs_they_build(monkeypatch):
-    # Theorems 2 and 3 sort forward rows only as a graph's out rows or its
-    # per-player components, once each per graph; no search reverses edges
+    # Theorems 1, 2 and 3 sort rows only as a graph's out rows, once per
+    # graph: the kernels, components, relaxations and splice searches read
+    # rows, and no search reverses edges
+    splices = genutil.count_calls(monkeypatch, spne, "_best_splice")
     sorted_rows = []
     real = graphalg.out_adjacency
 
@@ -443,7 +462,9 @@ def test_terminal_solvers_sort_rows_only_for_the_graphs_they_build(monkeypatch):
 
     monkeypatch.setattr(graphalg, "out_adjacency", counting)
     _solve_seeded_terminal_games()
-    assert {name for name, _ in sorted_rows} == {"out", "_player_components"}
+    _solve_seeded_sp_games()
+    assert len(splices) >= 10
+    assert {name for name, _ in sorted_rows} == {"out"}
     assert all(isinstance(graph, GameGraph) for _, graph in sorted_rows)
     # the graphs stay referenced in sorted_rows, so their ids are distinct
     assert max(Counter((name, id(graph)) for name, graph in sorted_rows).values()) == 1

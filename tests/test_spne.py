@@ -555,7 +555,7 @@ def test_theorem1_checks_raise_under_dash_O():
             return spne.lambda_shortest(game, dec, v0)
 
         def zero_potentials(game):
-            graphalg.bellman_ford_potentials = lambda n, edges, weight: [0] * n
+            graphalg.bellman_ford_potentials = lambda out, weight: [0] * len(out)
             return reductions.gallai_transform(game)
 
         for run in (
