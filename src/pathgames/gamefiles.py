@@ -104,6 +104,12 @@ def game_from_dict(data: dict) -> Game:
     n = len(by_id)
     if sorted(by_id) != list(range(n)):
         raise GameFormatError("vertex ids must be dense 0..|V|-1")
+    # the cost table keeps a row per player: bound the count before rows are
+    # built, so a short file cannot ask for millions of them; two players
+    # stay allowed on a board of terminals alone, as two-person games
+    bound = max(2, n)
+    if n_players > bound:
+        raise GameFormatError(f"players must be at most {bound} for {n} vertices, got {n_players}")
     owner = []
     names = []
     for vid in range(n):

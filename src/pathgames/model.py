@@ -15,7 +15,7 @@ between threads; a view only caches what it has built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -302,11 +302,6 @@ class TerminalGame:
             return None
         row = self._int_costs[1][g.owner[v] - 1]
         return min(moves, key=lambda w: (row[w], w))
-
-    def restricted(self, edges: Iterable[tuple[int, int]]) -> "TerminalGame":
-        """The same game with only the given moves left."""
-        graph = replace(self.graph, edges=tuple(sorted(edges)))
-        return self._from_ints(graph, *self._int_costs)
 
     @cached_property
     def _contraction(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalCheckFailed, ZeroSumMixedCycle
+from .errors import InternalCheckFailed, PreconditionError, ZeroSumMixedCycle
 from .model import (
     MINUS_INF,
     PLUS_INF,
@@ -50,9 +50,14 @@ class Play:
 
 
 def trace(graph: GameGraph, situation: Situation, start: int) -> Play:
-    """Follow the situation from start until a terminal or a repeated vertex."""
+    """Follow the situation from start until a terminal or a repeated vertex.
+
+    A start outside 0..|V|-1 raises PreconditionError.
+    """
     owner = graph.owner
     moves = situation.moves
+    if not 0 <= start < len(owner):
+        raise PreconditionError(f"start vertex {start} outside 0..{len(owner) - 1}")
     if owner[start] is None:
         return Play(prefix=(), terminal=start)
     walk = [start]

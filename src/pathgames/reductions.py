@@ -11,7 +11,7 @@ games, their per-vertex value tables and the one equilibrium check on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -292,19 +292,16 @@ class ContractionMap:
     """How a terminal game was contracted to its small version.
 
     ``rep_edge`` holds, for each contracted edge, the lexicographically
-    smallest original edge realizing it; lifting roots each component at the
-    tail of the representative edge chosen by the situation and routes the
-    rest of the component to that root along a reverse breadth-first tree.
+    smallest original edge realizing it. ``inside[v]`` lists v's
+    in-neighbors other than v within v's own component, in id order: the
+    moves that lifting routes along, as no such move leaves a component.
     """
 
     graph: GameGraph
     component: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
     rep_edge: Mapping[tuple[int, int], tuple[int, int]]
-    # (component, root) -> that component's in-tree, built on first use
-    _trees: dict[tuple[int, int], dict[int, int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    inside: tuple[tuple[int, ...], ...]
 
 
 def contract_small_game(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
@@ -358,44 +355,29 @@ def _contract(game: TerminalGame) -> tuple[TerminalGame, ContractionMap]:
     keys = [(cid, comp[0]) for cid, comp in enumerate(comps) if owner[cid] is TERMINAL]
     tables = tuple({cid: row[w] for cid, w in keys + [(None, None)]} for row in rows)
     small = TerminalGame._from_ints(small_graph, scale, tables)
+    inside = tuple([tuple([u for u in row if u != v and comp_of[u] == comp_of[v]])
+                    for v, row in enumerate(g._into)])
     cmap = ContractionMap(
         graph=g,
         component=comp_of,
         members=comps,
         rep_edge=rep,
+        inside=inside,
     )
     return small, cmap
-
-
-def _tree_toward(cmap: ContractionMap, cid: int, root: int) -> dict[int, int]:
-    """In-tree over a component: each non-root member's move toward the root.
-
-    Built by ``graphalg.tree_toward`` over the component's own moves, so
-    lifted walks are as short as possible; within a layer the lowest-id
-    parent wins. Memoised on ``cmap``, so every lift through one contraction
-    builds each tree once.
-    """
-    tree = cmap._trees.get((cid, root))
-    if tree is not None:
-        return tree
-    members = cmap.members[cid]
-    tree = graphalg.tree_toward(cmap.graph._into, [root], frozenset(members))
-    if len(tree) + 1 < len(members):
-        raise InternalCheckFailed(f"component {cid} not strongly connected")
-    cmap._trees[cid, root] = tree
-    return tree
 
 
 def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
     """Expand a situation of the small game to the original game.
 
-    Inside each component the play follows the in-tree to the root, which
-    then takes the representative edge; a loop choice is realized by cycling
-    between the representative intra-component edge's endpoints. A singleton
-    component is its own root and needs no tree.
+    Each component is rooted at the tail of the representative edge of its
+    chosen move, which the root takes: a loop choice cycles along the
+    representative intra-component edge, a singleton's along its self-loop.
+    One reverse breadth-first search over ``cmap.inside`` from every root
+    moves each other member one hop closer to its own root, lowest id first.
     """
     g = cmap.graph
-    choice: dict[int, int] = {}
+    roots: dict[int, int] = {}
     for cid, members in enumerate(cmap.members):
         if g.is_terminal(members[0]):
             continue
@@ -403,9 +385,12 @@ def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
         if target is None:
             raise InternalCheckFailed(f"situation has no move at component {cid}")
         u, v = cmap.rep_edge[(cid, target)]
-        if len(members) > 1:
-            choice.update(_tree_toward(cmap, cid, u))
-        choice[u] = v  # a singleton's loop choice is its original self-loop
+        roots[u] = v
+    choice = graphalg.tree_toward(cmap.inside, roots, range(g.n_vertices))
+    for cid, members in enumerate(cmap.members):
+        if len(members) > 1 and any(w not in choice and w not in roots for w in members):
+            raise InternalCheckFailed(f"component {cid} not strongly connected")
+    choice.update(roots)
     return Situation.of(g, choice)
 
 
@@ -445,7 +430,8 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
     for v in g.nonterminals:
         best = small.best_terminal(v)
         dropped.extend((v, w) for w in g.out[v] if g.is_terminal(w) and w != best)
-    pruned = small.restricted(g.edge_set.difference(dropped))
+    kept = replace(g, edges=tuple(sorted(g.edge_set.difference(dropped))))
+    pruned = TerminalGame._from_ints(kept, *small._int_costs)
     pg = pruned.graph
     can_reach = graphalg.tree_toward(pg._into, pg.terminals, range(pg.n_vertices))
     unreachable = frozenset(v for v in pg.nonterminals if v not in can_reach)

@@ -15,7 +15,9 @@ import copy
 import json
 import random
 
-from pathgames import fixtures
+import pytest
+
+from pathgames import fixtures, gamefiles
 from pathgames.cli import main
 from pathgames.errors import GameFormatError
 from pathgames.gamefiles import game_from_dict, game_to_dict
@@ -163,3 +165,32 @@ def test_integer_literal_past_the_digit_limit_exits_2(capsys, tmp_path):
     assert main(["validate", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {path}: ")
+
+
+# a terminal game and its shortest path twin, with no vertices at all
+_MANY_PLAYERS = [
+    {"players": 400000, "vertices": [], "edges": [], "terminal_costs": {}},
+    {"players": 400000, "vertices": [], "edges": []},
+]
+
+
+@pytest.mark.parametrize("doc", _MANY_PLAYERS)
+def test_more_players_than_vertices_exit_2(capsys, tmp_path, doc):
+    # each player gets a cost row, so the count is bounded before rows are built
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: players must be at most 2 for 0 vertices, got 400000\n"
+
+
+def test_a_billion_players_are_rejected_before_any_cost_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("cost rows built for an unbounded player count")
+
+    monkeypatch.setattr(gamefiles, "_scaled_rows", no_rows)
+    # the shortest path twin: a terminal file without infinite costs would
+    # first expand a zero per player, which no patch here could stop
+    with pytest.raises(GameFormatError, match="players must be at most 2 for 0 vertices"):
+        game_from_dict({**_MANY_PLAYERS[1], "players": 10**9})

@@ -12,7 +12,7 @@ import pytest
 import genutil
 import pathgames
 from pathgames import graphalg, oracle
-from pathgames.errors import InternalCheckFailed, ZeroSumMixedCycle
+from pathgames.errors import InternalCheckFailed, PreconditionError, ZeroSumMixedCycle
 from pathgames.model import (
     ExtCost,
     MINUS_INF,
@@ -191,6 +191,15 @@ def test_missing_move_raises(g2):
         outcomes(g2.graph, broken)
     with pytest.raises(InternalCheckFailed, match="no move at vertex 1"):
         trace(g2.graph, broken, 0)
+
+
+@pytest.mark.parametrize("start", [-1, 3])
+def test_trace_rejects_a_start_outside_the_vertex_range(start):
+    # -1 would name the last vertex from the end, and 3 is past it
+    g = terminal_game([None, 1, 2], [(1, 0), (1, 2), (2, 1), (2, 0)], {0: (-1, -2)}, 2).graph
+    with pytest.raises(PreconditionError) as exc:
+        pathgames.trace(g, Situation((None, 2, 0)), start)
+    assert str(exc.value) == f"start vertex {start} outside 0..2"
 
 
 def test_internal_checks_raise_under_dash_O():

@@ -21,6 +21,7 @@ from pathgames.model import (
     GameGraph,
     Situation,
     is_positive,
+    lowest_id_situation,
     merge_terminals,
     sp_game,
     terminal_game,
@@ -30,7 +31,6 @@ from pathgames.spne import solve_theorem1
 from pathgames.terminalne import solve_theorem2
 from pathgames.une import solve_theorem3
 from pathgames.reductions import (
-    _tree_toward,
     contract_small_game,
     gallai_transform,
     lift_situation,
@@ -305,13 +305,17 @@ def test_lift_preserves_costs_everywhere():
 def test_lift_trees_are_shortest_with_lowest_id_parents():
     rng = random.Random(47)
     checked = 0
-    for _ in range(60):
+    for _ in range(80):
         game = genutil.random_symmetric_terminal(rng, max_v=12, max_players=2)
         g = game.graph
-        _, cmap = contract_small_game(game)
+        small, cmap = contract_small_game(game)
+        base = lowest_id_situation(small.graph)
         for cid, members in enumerate(cmap.members):
             inside = set(members)
-            for root in members:
+            for target in small.graph.out[cid]:
+                root, head = cmap.rep_edge[cid, target]
+                lifted = lift_situation(base.replace({cid: target}), cmap)
+                assert lifted[root] == head
                 # hop distance to the root along moves inside the component
                 dist = {root: 0}
                 frontier = {root}
@@ -322,14 +326,13 @@ def test_lift_trees_are_shortest_with_lowest_id_parents():
                         if u not in dist and any(w in frontier for w in g.out[u])
                     }
                     dist.update((u, d) for u in frontier)
-                tree = _tree_toward(cmap, cid, root)
-                assert set(tree) == inside - {root}
-                for v, parent in tree.items():
+                assert set(dist) == inside
+                for v in inside - {root}:
                     closer = [
                         w for w in g.out[v]
                         if w in inside and w != v and dist[w] == dist[v] - 1
                     ]
-                    assert parent == closer[0]
+                    assert lifted[v] == closer[0]
                     checked += 1
     assert checked >= 1000
 

@@ -7,7 +7,7 @@ import pytest
 import genutil
 from pathgames import graphalg, oracle, reductions, terminalne
 from pathgames.errors import NotSymmetric, VerificationFailed
-from pathgames.model import Situation, lowest_id_situation, terminal_game
+from pathgames.model import Situation, TerminalGame, lowest_id_situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import (
     _check_table_values,
@@ -243,3 +243,55 @@ def test_theorems_2_and_3_contract_once(monkeypatch):
         solve_theorem3(game)
         assert len(builds) == 1
         assert contract_small_game(game) is contract_small_game(game)
+
+
+def test_theorems_2_and_3_build_no_sub_game_and_lift_with_one_search(monkeypatch):
+    # Case 3 runs on the contracted game, not on a copy without the start's
+    # terminal moves: Theorem 2 builds only the contraction, from every
+    # start, and Theorem 3 adds only its pruned game. A lift routes every
+    # component with one reverse search.
+    real = TerminalGame._from_ints.__func__
+    builds = []
+
+    def counting(cls, graph, scale, rows):
+        builds.append(graph)
+        return real(cls, graph, scale, rows)
+
+    monkeypatch.setattr(TerminalGame, "_from_ints", classmethod(counting))
+    searches = genutil.count_calls(monkeypatch, graphalg, "tree_toward")
+    real_lift = reductions.lift_situation
+    per_lift = []
+
+    def lift(situation, cmap):
+        before = len(searches)
+        lifted = real_lift(situation, cmap)
+        per_lift.append(len(searches) - before)
+        return lifted
+
+    monkeypatch.setattr(reductions, "lift_situation", lift)
+    monkeypatch.setattr(terminalne, "lift_situation", lift)
+    rng = random.Random(103)
+    case3 = merged = 0
+    for _ in range(40):
+        game = genutil.random_symmetric_terminal(rng, max_v=10, ciw=True)
+        g = game.graph
+        builds.clear()
+        searches.clear()
+        for v in g.nonterminals:
+            solve_theorem2(game, v)
+        small, cmap = contract_small_game(game)
+        assert builds == [small.graph]
+        assert len(searches) == 2 * len(g.nonterminals)
+        case3 += sum(
+            small.best_terminal(cmap.component[v]) is not None
+            and not all(map(small.graph.is_terminal, small.graph.out[cmap.component[v]]))
+            for v in g.nonterminals
+        )
+        merged += sum(len(m) > 1 for m in cmap.members)
+        builds.clear()
+        searches.clear()
+        solve_theorem3(game)
+        assert len(builds) == 1  # the pruned game
+        assert len(searches) == 3  # its reach set, its first situation, the lift
+    assert set(per_lift) == {1}
+    assert case3 >= 50 and merged >= 20, (case3, merged)
