@@ -1,14 +1,22 @@
 """Brute-force ground truth: enumeration, normal forms, NE/UNE search.
 
 Everything here is deliberately simple and exhaustive: every situation or
-deviation is traced with ``play.trace``. Only the costing is shared within
-one call: a shortest path game costs each distinct play once, and a
-terminal game, whose costs depend only on the outcome, each outcome once
-(the deviation checks compare outcomes with the set of those that beat the
-current cost). The enumeration cap
-(default 10**6, overridable via the PATHGAMES_ENUM_CAP environment variable
-or per call) keeps accidental blow-ups from hanging a session; exceeding it
-raises TooLarge rather than sampling.
+deviation is traced with ``play.trace``. Only bookkeeping is shared within
+one call, never a trace:
+
+- a shortest path game costs each distinct play once, and a terminal game,
+  whose costs depend only on the outcome, each outcome once (the deviation
+  checks compare outcomes with the set of those that beat the current
+  cost);
+- a deviation check builds each of a player's deviated situations once and
+  traces it from every start;
+- the equilibrium scan of a normal form ranks each player's cost once per
+  distinct cost vector and takes the line minima on those integer ranks.
+
+The enumeration cap (default 10**6, overridable via the PATHGAMES_ENUM_CAP
+environment variable or per call; a negative cap is a precondition error)
+keeps accidental blow-ups from hanging a session; exceeding it raises
+TooLarge rather than sampling.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import and_, eq
 from typing import Iterator, Mapping
 
 from . import graphalg
@@ -40,15 +49,24 @@ CAP_ENV_VAR = "PATHGAMES_ENUM_CAP"
 
 
 def resolve_cap(cap: int | None = None) -> int:
-    if cap is not None:
-        return cap
-    env = os.environ.get(CAP_ENV_VAR)
-    if not env:
-        return DEFAULT_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise PreconditionError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+    """``cap``, else the PATHGAMES_ENUM_CAP variable, else DEFAULT_CAP.
+
+    A negative cap, or a variable that is not an integer, raises
+    PreconditionError.
+    """
+    source = "enumeration cap"
+    if cap is None:
+        env = os.environ.get(CAP_ENV_VAR)
+        if not env:
+            return DEFAULT_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise PreconditionError(f"{CAP_ENV_VAR} must be an integer, got {env!r}") from None
+        source = CAP_ENV_VAR
+    if cap < 0:
+        raise PreconditionError(f"{source} must not be negative, got {cap}")
+    return cap
 
 
 def _graph_of(game_or_graph) -> GameGraph:
@@ -75,19 +93,27 @@ def enumerate_situations(game_or_graph, cap: int | None = None) -> Iterator[Situ
         yield Situation(tuple(moves))
 
 
+def _own_rows(graph: GameGraph, player: int, cap) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The player's vertices and their move rows; TooLarge past the cap.
+
+    ``itertools.product`` of the rows lists the player's strategies in
+    lexicographic order.
+    """
+    verts = [v for v in graph.nonterminals if graph.owner[v] == player]
+    rows = [graph.out[v] for v in verts]
+    count = prod(map(len, rows))
+    limit = resolve_cap(cap)
+    if count > limit:
+        raise TooLarge(count, limit)
+    return verts, rows
+
+
 def player_strategies(
     graph: GameGraph, player: int, cap: int | None = None
 ) -> list[dict[int, int]]:
     """All strategies of one player, lexicographic, as vertex -> target maps."""
-    verts = [v for v in graph.nonterminals if graph.owner[v] == player]
-    count = prod(len(graph.out[v]) for v in verts)
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise TooLarge(count, limit)
-    return [
-        dict(zip(verts, combo))
-        for combo in itertools.product(*(graph.out[v] for v in verts))
-    ]
+    verts, rows = _own_rows(graph, player, cap)
+    return [dict(zip(verts, combo)) for combo in itertools.product(*rows)]
 
 
 def effective_cost(game: Game, play, player: int):
@@ -204,6 +230,7 @@ def normal_form(game: Game, start: int | None = None, cap: int | None = None) ->
     by_play = isinstance(game, SPGame)
     vectors: dict = {}
     cells: dict[tuple[int, ...], tuple] = {}
+    flat: list[tuple] = []  # the cells' vectors in index order
     moves: list[int | None] = [None] * g.n_vertices
     for index in itertools.product(*(range(len(a)) for a in axes)):
         # the axes cover every non-terminal with one of its own moves
@@ -216,24 +243,69 @@ def normal_form(game: Game, start: int | None = None, cap: int | None = None) ->
         if vector is None:
             vector = vectors[key] = tuple(effective_cost(game, play, p) for p in g.players)
         cells[index] = vector
-    ne = _ne_indices(axes, cells)
+        flat.append(vector)
+    ne = _ne_indices([len(a) for a in axes], flat)
     return NormalForm(start=start, axes=tuple(axes), cells=cells, ne=ne)
 
 
-def _ne_indices(axes, cells) -> frozenset[tuple[int, ...]]:
-    n = len(axes)
-    best: list[dict[tuple, object]] = [dict() for _ in range(n)]
-    for index, costs in cells.items():
-        for i in range(n):
-            rest = index[:i] + index[i + 1:]
-            cur = best[i].get(rest)
-            if cur is None or costs[i] < cur:
-                best[i][rest] = costs[i]
-    out = set()
-    for index, costs in cells.items():
-        if all(costs[i] == best[i][index[:i] + index[i + 1:]] for i in range(n)):
-            out.add(index)
-    return frozenset(out)
+def _ne_indices(shape, flat) -> frozenset[tuple[int, ...]]:
+    """Indices of the cells whose cost is minimal on every player's line.
+
+    ``flat`` lists the cost vectors in ``itertools.product`` order over
+    ``shape``, so the cell at index ``(k_1, ..., k_n)`` sits at the
+    mixed-radix position ``sum(k_i * stride_i)``, the last axis fastest.
+    Each player's costs are ranked once per distinct vector object
+    (``normal_form`` shares one per play or outcome; equal costs in
+    distinct objects get equal ranks), and the line minima are taken on
+    those integer ranks.
+    """
+    if not flat:
+        return frozenset()
+    ids = list(map(id, flat))
+    distinct = dict(zip(ids, flat))
+    good = [True] * len(flat)
+    stride = len(flat)
+    for i, n in enumerate(shape):
+        stride //= n
+        if n == 1:
+            continue  # one strategy: every cell is its own line
+        rank: dict[int, int] = {}
+        previous = None
+        for key, vector in sorted(distinct.items(), key=lambda item: item[1][i]):
+            if previous is None or previous < vector[i]:
+                level = len(rank)
+            rank[key] = level
+            previous = vector[i]
+        ranks = list(map(rank.__getitem__, ids))
+        good = list(map(and_, good, map(eq, ranks, _line_minima(ranks, n, stride))))
+    return frozenset(itertools.compress(itertools.product(*map(range, shape)), good))
+
+
+def _line_minima(ranks: list[int], n: int, stride: int) -> list[int]:
+    """Each cell's smallest rank on its line along one axis of the grid.
+
+    The axis has length ``n`` > 1, so the cell at ``o * n * stride +
+    k * stride + u`` lies on line ``(o, u)``. A pass takes one slice per
+    ``k`` and ``map(min, ...)`` across them, for all ``o`` at one ``u`` or
+    for all ``u`` at one ``o``, whichever needs fewer passes.
+    """
+    block = n * stride
+    if stride <= len(ranks) // block:
+        passes = (
+            [slice(u + k * stride, None, block) for k in range(n)]
+            for u in range(stride)
+        )
+    else:
+        passes = (
+            [slice(o + k * stride, o + (k + 1) * stride) for k in range(n)]
+            for o in range(0, len(ranks), block)
+        )
+    low = [0] * len(ranks)
+    for lines in passes:
+        minima = list(map(min, *(ranks[line] for line in lines)))
+        for line in lines:
+            low[line] = minima
+    return low
 
 
 def find_all_ne(game: Game, start: int | None = None, cap: int | None = None) -> list[Situation]:
@@ -328,17 +400,19 @@ def verify_une(game: Game, situation: Situation, cap: int | None = None) -> Veri
 def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap) -> VerifyReport:
     """Exhaustive deviation check from ``start``, or from every start if None.
 
-    The witness is the first strict improvement in loop order. Every
-    deviation is traced; an SP game costs each distinct play once per
-    player, and a terminal game compares outcomes against the set of those
-    that beat the current cost.
+    The witness is the first strict improvement in loop order: players,
+    then starts, then the player's strategies in lexicographic order. Each
+    deviated situation is built once per player and traced from every
+    start; an SP game costs each distinct play once per player, and a
+    terminal game compares outcomes against the set of those that beat the
+    current cost.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
     base = {v: trace(g, situation, v) for v in starts}
     terminal = isinstance(game, TerminalGame)
     for player in g.players:
-        strategies = player_strategies(g, player, cap)
+        deviations = _deviations(g, situation, player, cap)
         seen: dict[Play, ExtCost] = {}
         for v in starts:
             if terminal:
@@ -348,8 +422,7 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
                     wins.add(None)
             else:
                 cur = _sp_cost_once(game, base[v], player, seen)
-            for strategy in strategies:
-                deviated = situation.replace(strategy)
+            for deviated in deviations:
                 play = trace(g, deviated, v)
                 if terminal:
                     if play.terminal not in wins:
@@ -364,6 +437,22 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
                     note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
                 )
     return VerifyReport(True, start=start)
+
+
+def _deviations(graph: GameGraph, situation: Situation, player: int, cap) -> list[Situation]:
+    """The situation with each of the player's strategies in place of its own.
+
+    In ``player_strategies`` order; every deviation is written into one
+    ``moves`` list, so no per-strategy map is built.
+    """
+    verts, rows = _own_rows(graph, player, cap)
+    moves = list(situation.moves)
+    deviations = []
+    for combo in itertools.product(*rows):
+        for v, t in zip(verts, combo):
+            moves[v] = t
+        deviations.append(Situation(tuple(moves)))
+    return deviations
 
 
 def _sp_cost_once(game: SPGame, play: Play, player: int, seen: dict[Play, ExtCost]) -> ExtCost:

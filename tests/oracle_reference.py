@@ -1,10 +1,12 @@
-"""Reference copies of the exhaustive oracle's costing loops.
+"""Reference copies of the exhaustive oracle's costing loops and scan.
 
 These re-cost every cell and every deviation from scratch, with one
 ``effective_cost`` call per player and play and a ``Fraction`` or
-``ExtCost`` comparison per deviation. The library costs each distinct play
-(shortest path games) or outcome (terminal games) once per call; tests
-require both to return identical cells, equilibria and reports.
+``ExtCost`` comparison per deviation, and scan for equilibria by comparing
+costs cell by cell. The library costs each distinct play (shortest path
+games) or outcome (terminal games) once per call and scans on integer
+ranks; tests require both to return identical cells, equilibria and
+reports.
 """
 
 from __future__ import annotations
@@ -37,6 +39,26 @@ def normal_form_cells(game, start):
         situation = Situation.of(g, choice)
         cells[index] = cost_vector(game, situation, start)
     return axes, cells
+
+
+def ne_indices(axes, cells):
+    """Indices whose cost is minimal for every player over that player's line.
+
+    ``cells`` maps each index to its cost vector, in any order.
+    """
+    n = len(axes)
+    best = [dict() for _ in range(n)]
+    for index, costs in cells.items():
+        for i in range(n):
+            rest = index[:i] + index[i + 1:]
+            cur = best[i].get(rest)
+            if cur is None or costs[i] < cur:
+                best[i][rest] = costs[i]
+    out = set()
+    for index, costs in cells.items():
+        if all(costs[i] == best[i][index[:i] + index[i + 1:]] for i in range(n)):
+            out.add(index)
+    return frozenset(out)
 
 
 def verify_exhaustive(game, situation, start):

@@ -409,6 +409,13 @@ def test_bad_enumeration_cap_is_a_precondition(capsys, example_file, monkeypatch
     assert (code, err) == (3, "error: PATHGAMES_ENUM_CAP must be an integer, got 'many'\n")
 
 
+def test_negative_enumeration_cap_is_a_precondition(capsys, example_file, monkeypatch):
+    # a negative cap would refuse every enumeration as too large (exit 4)
+    monkeypatch.setenv("PATHGAMES_ENUM_CAP", "-5")
+    code, out, err = run(capsys, "oracle", "ne", example_file("chain"))
+    assert (code, out, err) == (3, "", "error: PATHGAMES_ENUM_CAP must not be negative, got -5\n")
+
+
 def test_stray_value_error_is_an_internal_error(capsys, example_file, monkeypatch):
     # outside input is rejected with the library's own errors, so a ValueError is a bug
     def broken(game, start=None):

@@ -1,0 +1,47 @@
+"""Smoke test of ``tools/cpu_pairs.py`` at toy size."""
+
+from __future__ import annotations
+
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "cpu_pairs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("cpu_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_checkout_paired_with_itself_reports_every_family():
+    command = [
+        sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "crosscheck-small",
+        "--seed", "0", "--games", "4", "--passes", "2", "--rounds", "2",
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:2]] == ["round 1", "round 2"]
+    assert lines[2].startswith("crosscheck-small, seed 0, 4 games, min of 2 passes")
+    rows = [line.split() for line in lines[3:-1]]
+    assert [row[0] for row in rows] == ["all:", "sp:", "terminal:", "ciw:", "ring:"]
+    assert all(row[1::2] == ["parent", "change", "ratio"] for row in rows)
+    assert lines[-1] == "outputs identical"
+
+
+def test_differing_outputs_exit_1(monkeypatch, capsys):
+    tool = _load_tool()
+    results = iter([
+        {"ms_per_op": {"all": 2.0}, "digest": "a"},
+        {"ms_per_op": {"all": 1.0}, "digest": "b"},
+    ])
+    monkeypatch.setattr(tool, "run_worker", lambda checkout, args: next(results))
+    assert tool.main(["p", "c", "--workload", "sp-mid", "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "round 1: parent 2.000  change 1.000  ratio 0.500 ms/op" in out
+    assert out.endswith("outputs differ: ['a', 'b']\n")

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -80,6 +83,26 @@ def test_cap_env_override(monkeypatch):
     assert oracle.resolve_cap() == 3
     monkeypatch.delenv(oracle.CAP_ENV_VAR)
     assert oracle.resolve_cap() == oracle.DEFAULT_CAP
+
+
+def test_negative_cap_is_a_precondition(monkeypatch, fig1_pm):
+    # zero is a cap that refuses everything; below zero is a mistake
+    assert oracle.resolve_cap(0) == 0
+    with pytest.raises(TooLarge, match=r"^enumeration of 2 items exceeds cap 0$"):
+        oracle.player_strategies(fig1_pm.graph, 1, cap=0)
+    situation = Situation.of(fig1_pm.graph, {0: 2, 1: 0, 2: 3})
+    for run in (
+        lambda: oracle.player_strategies(fig1_pm.graph, 1, cap=-5),
+        lambda: list(oracle.enumerate_situations(fig1_pm, cap=-5)),
+        lambda: oracle.find_all_ne(fig1_pm, cap=-5),
+        lambda: oracle.verify_une(fig1_pm, situation, cap=-5),
+    ):
+        with pytest.raises(PreconditionError, match=r"^enumeration cap must not be negative, got -5$"):
+            run()
+    monkeypatch.setenv(oracle.CAP_ENV_VAR, "-1")
+    with pytest.raises(PreconditionError, match=rf"^{oracle.CAP_ENV_VAR} must not be negative, got -1$"):
+        oracle.find_all_ne(fig1_pm)
+    assert oracle.resolve_cap(7) == 7  # an explicit cap still wins over the variable
 
 
 @pytest.mark.parametrize("fixture,cells", [("fig1_pm", FIG1_PM_CELLS), ("fig1_p", FIG1_P_CELLS)])
@@ -300,7 +323,7 @@ def test_costing_once_matches_the_per_cell_reference():
         def reference_form():
             axes, cells = oracle_reference.normal_form_cells(game, start)
             strs = {i: tuple(map(str, c)) for i, c in cells.items()}
-            return tuple(axes), strs, oracle._ne_indices(axes, cells)
+            return tuple(axes), strs, oracle_reference.ne_indices(axes, cells)
 
         got = _outcome(normal_form)
         assert got == _outcome(reference_form), game
@@ -373,6 +396,66 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
             assert n_traces == len(starts) * (1 + per_start)
             terminal_passing += not isinstance(game, SPGame)
     assert passing >= 60 and terminal_passing >= 30, (passing, terminal_passing)
+
+
+def test_deviations_are_built_once_per_player_not_per_start(monkeypatch):
+    # a passing check builds one situation per strategy of each player and
+    # traces it from every start
+    built = []
+    real_init = Situation.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Situation, "__init__", counting)
+    rng = random.Random(37)
+    multi_start = 0
+    for k in range(40):
+        if k % 2:
+            game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
+        else:
+            game = genutil.random_ring_ciw_terminal(rng, max_v=8)
+        g = game.graph
+        situation = solve_theorem3(game).situation
+        built.clear()
+        assert oracle.verify_une(game, situation).ok
+        assert len(built) == sum(len(oracle.player_strategies(g, p)) for p in g.players)
+        multi_start += len(g.nonterminals) >= 4
+    assert multi_start >= 30, multi_start
+
+
+_GRID_COSTS = (
+    [ExtCost.finite(c) for c in (-1, 0, Fraction(1, 2), 1)] + [ExtCost(-1), ExtCost(1)],
+    [Fraction(c) for c in (-2, -1, 0, Fraction(3, 2))],
+)
+
+
+def test_equilibrium_scan_matches_the_cell_by_cell_reference():
+    # seeded grids with 1-4 players, axes of length 1, ties on a line,
+    # infinite costs, and cells holding distinct but equal vectors
+    rng = random.Random(41)
+    with_ne = without_ne = 0
+    for k in range(600):
+        costs = _GRID_COSTS[k % 2]
+        n_players = 1 + k % 4
+        shape = tuple(rng.choice((1, 1, 2, 3, 4)) for _ in range(n_players))
+        shared = [tuple(rng.choice(costs) for _ in range(n_players))
+                  for _ in range(rng.randint(1, 6))]
+        flat = []
+        for _ in range(math.prod(shape)):
+            vector = rng.choice(shared)
+            if rng.random() < 0.3:  # an equal vector in a new tuple
+                vector = tuple(copy.copy(c) for c in vector)
+            flat.append(vector)
+        cells = dict(zip(itertools.product(*map(range, shape)), flat))
+        got = oracle._ne_indices(shape, flat)
+        assert got == oracle_reference.ne_indices(shape, cells), (shape, flat)
+        with_ne += bool(got)
+        without_ne += not got
+    assert with_ne >= 300 and without_ne >= 10, (with_ne, without_ne)
+    # a player with a vertex and no move there has no strategy at all
+    assert oracle._ne_indices((2, 0), []) == frozenset()
 
 
 @pytest.mark.parametrize("start", [-1, 3])
