@@ -29,6 +29,11 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_TOO_LARGE = 4
 EXIT_INTERNAL = 5
+# Flags that only some kinds read: refused on the others before any file is loaded.
+_KIND_FLAGS = {
+    "solve": {"--start": ("sp-ne", "terminal-ne"), "--transform": ("sp-ne",), "--trace": ("une",)},
+    "oracle": {"--start": ("normal-form", "ne"), "--csv": ("normal-form",)},
+}
 
 
 def _resolve_vertex(game: Game, label: str | None) -> int | None:
@@ -196,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a constructive equilibrium solver")
     p.add_argument("kind", choices=["sp-ne", "terminal-ne", "une"])
     p.add_argument("file")
-    p.add_argument("--start", help="start vertex id or name (default: the file's initial)")
+    p.add_argument("--start", help="start vertex id or name (default: the file's initial; not une)")
     p.add_argument("--transform", action="store_true",
                    help="apply the positivity reweighting first (sp-ne only)")
     p.add_argument("--trace", action="store_true",
@@ -206,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive enumeration analyses")
     p.add_argument("kind", choices=["normal-form", "ne", "une"])
     p.add_argument("file")
-    p.add_argument("--start", help="start vertex id or name")
+    p.add_argument("--start", help="start vertex id or name (normal-form and ne only)")
     p.add_argument("--csv", help="write the normal form as CSV to this path")
     p.set_defaults(func=_cmd_oracle)
 
@@ -227,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, kinds in _KIND_FLAGS.get(args.command, {}).items():
+            if getattr(args, flag[2:]) not in (None, False) and args.kind not in kinds:
+                raise GameFormatError(f"{flag} applies only to {' and '.join(kinds)}")
         return args.func(args)
     except GameFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

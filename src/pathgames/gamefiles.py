@@ -40,6 +40,8 @@ def _rational_pair(value: Any) -> tuple[int, int]:
                 if q:  # "p/0" falls through to the parser's error
                     g = math.gcd(p, q)
                     return p // g, q // g
+            if "_" in value:  # Fraction reads "1_0" as 10 from Python 3.11 on
+                raise ValueError("digit separator")
             _, e, exp = value.lower().partition("e")
             if e and abs(int(exp)) > _max_digits():
                 raise ValueError("exponent too large")

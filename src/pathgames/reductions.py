@@ -11,7 +11,7 @@ games, their per-vertex value tables and the one equilibrium check on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -398,9 +398,11 @@ def lift_situation(situation: Situation, cmap: ContractionMap) -> Situation:
 class UnePrep:
     """Preprocessed 2-person symmetric terminal game plus lifting data.
 
-    ``unreachable`` marks vertices of the preprocessed game that cannot reach
-    any terminal; solvers give them fixed lowest-id moves and leave them out
-    of the improvement dynamics.
+    ``game`` is the contracted game; the dynamics never take a move of
+    ``dropped_edges``, its terminal moves other than each controller's best
+    (none beats the best; ties go to the lowest id). ``unreachable`` marks
+    vertices that cannot reach a terminal; solvers fix their lowest-id
+    moves and leave them out of the dynamics.
     """
 
     game: TerminalGame
@@ -416,9 +418,9 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
     """Normalize a 2-person edge-symmetric terminal game for the UNE solver.
 
     After contraction, non-loop moves join vertices of different players.
-    Of several terminal moves at one vertex only the controller's best is
-    kept (ties to the lowest terminal id), and vertices that cannot reach a
-    terminal at all are marked for exclusion.
+    Of several terminal moves at one vertex, all but the controller's best
+    (ties to the lowest terminal id) are listed as dropped, and vertices
+    that cannot reach a terminal at all are marked for exclusion.
     """
     if game.graph.n_players != 2:
         raise ConditionViolated("TWO", f"{game.graph.n_players} players")
@@ -430,9 +432,6 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
     for v in g.nonterminals:
         best = small.best_terminal(v)
         dropped.extend((v, w) for w in g.out[v] if g.is_terminal(w) and w != best)
-    kept = replace(g, edges=tuple(sorted(g.edge_set.difference(dropped))))
-    pruned = TerminalGame._from_ints(kept, *small._int_costs)
-    pg = pruned.graph
-    can_reach = graphalg.tree_toward(pg._into, pg.terminals, range(pg.n_vertices))
-    unreachable = frozenset(v for v in pg.nonterminals if v not in can_reach)
-    return UnePrep(pruned, cmap, tuple(dropped), unreachable)
+    can_reach = graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices))
+    unreachable = frozenset(v for v in g.nonterminals if v not in can_reach)
+    return UnePrep(small, cmap, tuple(dropped), unreachable)

@@ -1,10 +1,10 @@
 """Uniform NE for 2-person edge-symmetric infinite-averse terminal games.
 
-The solver preprocesses the game (contraction, one terminal move per vertex,
-marking of terminal-free regions), builds a starting situation in which
-every play is finite and every terminal-adjacent vertex takes its terminal
-move, then lets the players alternate uniform best improvements on the
-preprocessed game. The value tables and their check live in ``reductions``.
+The solver contracts the game and builds a starting situation in which every
+play is finite and every terminal-adjacent vertex takes its controller's best
+terminal move. The players then alternate uniform best improvements on the
+contracted game, which never take another terminal move. The value tables
+and their check live in ``reductions``.
 
 Each step compares one player's costs by order or equality only, as ints on
 the game's integer cost table (``TerminalGame._int_costs``: every cost times
@@ -134,33 +134,22 @@ def uniform_best_improvement(
     return improved
 
 
-def initial_basic_situation(
-    game: TerminalGame, unreachable: frozenset[int] = frozenset()
-) -> Situation:
+def initial_basic_situation(game: TerminalGame) -> Situation:
     """Starting situation with finite plays everywhere that can have them.
 
-    Terminal-adjacent vertices take their controller-best terminal move.
-    Every other vertex follows the reverse breadth-first in-tree toward
-    that set (``graphalg.tree_toward``): it points at the lowest-id
-    out-neighbor one layer closer. Vertices that cannot reach a terminal
-    take their lowest-id move and stay out of the dynamics.
+    One reverse breadth-first in-tree toward the terminals
+    (``graphalg.tree_toward``) points each vertex at its lowest-id
+    out-neighbor one layer closer; a terminal-adjacent one takes its
+    controller-best terminal move instead. Vertices that cannot reach a
+    terminal take their lowest-id move and stay out of the dynamics.
     """
     g = game.graph
-    choice: dict[int, int] = {}
-    roots: list[int] = []
-    pending: set[int] = set()
+    choice = graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices))
     for v in g.nonterminals:
-        if v in unreachable:
+        if v not in choice:
             choice[v] = g.out[v][0]
-        elif (best := game.best_terminal(v)) is not None:
-            choice[v] = best
-            roots.append(v)
-        else:
-            pending.add(v)
-    tree = graphalg.tree_toward(g._into, roots, pending)
-    if len(tree) < len(pending):
-        raise InternalCheckFailed("uncolored vertex cannot reach the colored region")
-    choice.update(tree)
+        elif g.is_terminal(choice[v]):
+            choice[v] = game.best_terminal(v)
     return Situation.of(g, choice)
 
 
@@ -169,7 +158,7 @@ class UneSolve:
     """Outcome of the uniform-equilibrium computation.
 
     ``situation`` lives on the original game. The steps name vertices of
-    the preprocessed game the dynamics ran on (``prep.game``), and the
+    the contracted game the dynamics ran on (``prep.game``), and the
     trajectory is the rank potential: ``nu_trajectory[0]`` is its starting
     value and each following entry is its value after one applied
     improvement by ``steps[k]``.
@@ -188,11 +177,11 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
     Checks the TWO, SYM and CIW conditions, then alternates uniform best
     improvements starting from player 1 until neither player has one. The
     potential must strictly decrease from the second improvement on and the
-    number of improvements can never exceed |V| * |V_T| of the preprocessed
+    number of improvements can never exceed |V| * |V_T| of the contracted
     game; violations raise PotentialNotDecreased. The lifted result is
     re-verified against per-player value tables on the original game.
 
-    The rounds compare ints on the preprocessed game's cost table, and
+    The rounds compare ints on the contracted game's cost table, and
     each round hands the incumbent's outcomes to ``uniform_best_improvement``
     instead of evaluating them again. The player who just improved is not
     asked again before the other player has moved: its reply was certified
@@ -218,7 +207,7 @@ def solve_theorem3(game: TerminalGame) -> UneSolve:
         """The potential's terms: each non-terminal's rank for its controller."""
         return [ranks[wg.owner[v] - 1][ends[v]] for v in wg.nonterminals]
 
-    sigma = initial_basic_situation(work, prep.unreachable)
+    sigma = initial_basic_situation(work)
     ends = outcomes(wg, sigma)
     held = owner_ranks(ends)
     trajectory = [sum(held)]

@@ -159,7 +159,7 @@ def _replay_and_check_monotonicity(result):
     prep = result.prep
     work = prep.game
     g = work.graph
-    sigma = initial_basic_situation(work, prep.unreachable)
+    sigma = initial_basic_situation(work)
     previous = None
     for step, (player, changed) in enumerate(result.steps, start=1):
         improved = uniform_best_improvement(work, sigma, player)

@@ -403,6 +403,24 @@ def test_solve_start_vertex_errors(capsys, example_file, kind, name, start, expe
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "une", "--start", "0"), "--start applies only to sp-ne and terminal-ne"),
+    (("oracle", "une", "--start", "0"), "--start applies only to normal-form and ne"),
+    (("solve", "terminal-ne", "--transform"), "--transform applies only to sp-ne"),
+    (("solve", "une", "--transform"), "--transform applies only to sp-ne"),
+    (("solve", "sp-ne", "--trace"), "--trace applies only to une"),
+    (("solve", "terminal-ne", "--trace"), "--trace applies only to une"),
+    (("oracle", "ne", "--csv", "out.csv"), "--csv applies only to normal-form"),
+], ids=["solve-une-start", "oracle-une-start", "terminal-ne-transform", "une-transform",
+        "sp-ne-trace", "terminal-ne-trace", "oracle-ne-csv"])
+def test_flags_the_kind_would_ignore_exit_2(capsys, tmp_path, argv, message):
+    # refused before the file is read: the path does not exist
+    missing = str(tmp_path / "missing.json")
+    command, kind, *flags = argv
+    code, out, err = run(capsys, command, kind, missing, *flags)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_bad_enumeration_cap_is_a_precondition(capsys, example_file, monkeypatch):
     monkeypatch.setenv("PATHGAMES_ENUM_CAP", "many")
     code, _, err = run(capsys, "oracle", "ne", example_file("g6"))

@@ -34,6 +34,25 @@ def test_a_checkout_paired_with_itself_reports_every_family():
     assert lines[-1] == "outputs identical"
 
 
+def test_opcode_counts_of_one_checkout_are_equal_in_two_runs():
+    command = [
+        sys.executable, str(TOOL), str(ROOT), str(ROOT), "--workload", "crosscheck-small",
+        "--seed", "0", "--games", "4", "--opcodes",
+    ]
+    done = subprocess.run(command, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0].startswith("crosscheck-small, seed 0, 4 games, bytecode instructions per op")
+    rows = [line.split() for line in lines[1:-1]]
+    names = [row[0] for row in rows]
+    assert names[:5] == ["total:", "sp:", "terminal:", "ciw:", "ring:"]
+    assert {"play.py:", "une.py:", "oracle.py:"} <= set(names[5:])
+    for row in rows:
+        assert row[1::2] == ["parent", "change", "ratio"]
+        assert row[2] == row[4] and int(row[2]) > 0 and row[6] == "1.000"
+    assert lines[-1] == "outputs identical"
+
+
 def test_differing_outputs_exit_1(monkeypatch, capsys):
     tool = _load_tool()
     results = iter([

@@ -25,7 +25,7 @@ from pathgames.model import validate
 
 _BAD_COSTS = [
     0.5, 1e300, True, False, None, [1], [[["1"]]], {"1": 1}, "1/0", "0/0", "x", "",
-    "1e999999999", "1E+4301", "-1e-4301", "1/2/3", "nan", "inf",
+    "1e999999999", "1E+4301", "-1e-4301", "1/2/3", "nan", "inf", "1_0", "1_000/3",
 ]
 _BAD_IDS = [1.0, True, "0", [0], -1, 10**6]
 

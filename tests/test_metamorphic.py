@@ -9,7 +9,11 @@ the set of equilibria, so the result must still certify on the input game.
 The terminal-game solvers compare single costs of one player on an integer
 table scaled by the LCM of the cost denominators. Scaling every cost by one
 positive rational with a new denominator changes that scale but no
-comparison, so Theorems 2 and 3 must return exactly what they did.
+comparison, so Theorems 2 and 3 must return exactly what they did. Theorem 3
+only ever takes a vertex's best terminal move, so giving a vertex one more
+terminal move that its controller likes strictly less must not change it
+either (Theorem 2's start situation may take such a move, so it is not
+checked there).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from fractions import Fraction
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import genutil  # noqa: E402
@@ -134,6 +138,35 @@ def test_scaling_terminal_costs_keeps_theorems_2_and_3(rng, ring, factor):
     assert game._int_costs[0] % factor.denominator != 0
     assert solve_theorem2(scaled).moves == solve_theorem2(game).moves
     before, after = solve_theorem3(game), solve_theorem3(scaled)
+    assert after.situation == before.situation
+    assert after.rounds == before.rounds
+    assert after.steps == before.steps
+    assert after.nu_trajectory == before.nu_trajectory
+
+
+@SETTINGS
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_a_worse_terminal_move_keeps_theorem_3(rng, ring):
+    if ring:
+        game = genutil.random_ring_ciw_terminal(rng, max_v=12)
+    else:
+        game = genutil.random_symmetric_terminal(rng, max_v=9, ciw=True)
+    g = game.graph
+    # (v, w): w is a terminal v cannot move to yet, and v's controller
+    # likes it strictly less than v's best terminal move
+    extra = [
+        (v, w) for v in g.nonterminals
+        if (best := game.best_terminal(v)) is not None
+        for w in g.terminals
+        if w not in g.out[v]
+        and game.terminal_cost[w][g.owner[v] - 1] > game.terminal_cost[best][g.owner[v] - 1]
+    ]
+    assume(extra)
+    widened = terminal_game(
+        g.owner, g.edges + (rng.choice(extra),), game.terminal_cost, g.n_players,
+        game.infinite_cost, g.initial, g.names,
+    )
+    before, after = solve_theorem3(game), solve_theorem3(widened)
     assert after.situation == before.situation
     assert after.rounds == before.rounds
     assert after.steps == before.steps

@@ -375,11 +375,9 @@ def test_une_preprocess_drops_worse_terminal_moves():
         n_players=2,
     )
     prep = une_preprocess(g)
-    pg = prep.game.graph
-    # vertex 0 keeps only the move to the -3 terminal
-    assert (0, 2) not in pg.edge_set
-    assert (0, 3) in pg.edge_set
-    assert (0, 2) in prep.dropped_edges
+    # vertex 0 takes only the move to the -3 terminal
+    assert prep.dropped_edges == ((0, 2),)
+    assert prep.game is contract_small_game(g)[0]
 
 
 def test_une_preprocess_terminal_tie_keeps_lowest_id():
@@ -390,8 +388,7 @@ def test_une_preprocess_terminal_tie_keeps_lowest_id():
         n_players=2,
     )
     prep = une_preprocess(g)
-    assert (0, 2) in prep.game.graph.edge_set
-    assert (0, 3) not in prep.game.graph.edge_set
+    assert prep.dropped_edges == ((0, 3),)
 
 
 def test_une_preprocess_marks_terminal_free_region():

@@ -6,7 +6,8 @@ not, of up to 10 vertices, the digest covers:
 - Theorem 2 from every non-terminal start: the situation, or the type and
   message of the exception raised;
 - Theorem 3: the situation, rounds, potential trajectory and steps, the
-  pruned game it ran on and its unreachable set, or the exception raised;
+  contracted game it ran on without the terminal moves it never takes
+  (``UnePrep.dropped_edges``), its unreachable set, or the exception raised;
 - ``lift_situation`` of seeded random situations of the contracted game.
 
 The benchmark's digests cover Theorem 2 only from each game's initial
@@ -40,8 +41,10 @@ def _outcome(solve):
 def _theorem3(game):
     res = solve_theorem3(game)
     pg = res.prep.game.graph
+    # the contracted game minus the terminal moves the dynamics never take
+    edges = tuple(sorted(pg.edge_set.difference(res.prep.dropped_edges)))
     return (res.situation.moves, res.rounds, res.nu_trajectory, res.steps,
-            pg.edges, pg.owner, pg.names, pg.initial, sorted(res.prep.unreachable),
+            edges, pg.owner, pg.names, pg.initial, sorted(res.prep.unreachable),
             res.prep.dropped_edges)
 
 

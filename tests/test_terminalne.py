@@ -248,8 +248,8 @@ def test_theorems_2_and_3_contract_once(monkeypatch):
 def test_theorems_2_and_3_build_no_sub_game_and_lift_with_one_search(monkeypatch):
     # Case 3 runs on the contracted game, not on a copy without the start's
     # terminal moves: Theorem 2 builds only the contraction, from every
-    # start, and Theorem 3 adds only its pruned game. A lift routes every
-    # component with one reverse search.
+    # start, and Theorem 3 runs on that contraction without pruning a copy.
+    # A lift routes every component with one reverse search.
     real = TerminalGame._from_ints.__func__
     builds = []
 
@@ -291,7 +291,7 @@ def test_theorems_2_and_3_build_no_sub_game_and_lift_with_one_search(monkeypatch
         builds.clear()
         searches.clear()
         solve_theorem3(game)
-        assert len(builds) == 1  # the pruned game
-        assert len(searches) == 3  # its reach set, its first situation, the lift
+        assert builds == []
+        assert len(searches) == 3  # the reach set, the first situation, the lift
     assert set(per_lift) == {1}
     assert case3 >= 50 and merged >= 20, (case3, merged)

@@ -15,7 +15,7 @@ import genutil
 import une_reference
 import pathgames
 from pathgames import graphalg, oracle, play, une
-from pathgames.errors import ConditionViolated, InternalCheckFailed, PotentialNotDecreased
+from pathgames.errors import ConditionViolated, PotentialNotDecreased
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import _check_table_values, une_preprocess
@@ -141,7 +141,7 @@ def test_response_matches_enumeration_on_random_games():
         game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
         prep = une_preprocess(game)
         work = prep.game
-        sigma = initial_basic_situation(work, prep.unreachable)
+        sigma = initial_basic_situation(work)
         for player in (1, 2):
             _, values = uniform_best_response(work, sigma, player)
             brute = brute_force_values(work, sigma, player)
@@ -209,7 +209,7 @@ def test_improvement_definitional_clauses_random():
         prep = une_preprocess(game)
         work = prep.game
         g = work.graph
-        sigma = initial_basic_situation(work, prep.unreachable)
+        sigma = initial_basic_situation(work)
         for player in (1, 2):
             result = uniform_best_improvement(work, sigma, player)
             brute = brute_force_values(work, sigma, player)
@@ -259,7 +259,7 @@ def test_initial_basic_plays_finite_random():
     for _ in range(25):
         game = genutil.random_symmetric_terminal(rng, max_v=9, ciw=True)
         prep = une_preprocess(game)
-        sigma = initial_basic_situation(prep.game, prep.unreachable)
+        sigma = initial_basic_situation(prep.game)
         g = prep.game.graph
         for v in g.nonterminals:
             if v in prep.unreachable:
@@ -288,39 +288,91 @@ def _board_with_terminal_choices(rng, n_players, symmetric=False):
     return terminal_game(owners, edges, tcost, n_players)
 
 
-def _start_or_error(build, game, unreachable):
-    try:
-        return build(game, unreachable)
-    except InternalCheckFailed as exc:
-        return str(exc)
+def _reaches_no_terminal(g):
+    """Non-terminals with no path to a terminal, by a fixpoint over the moves."""
+    reach = set(g.terminals)
+    grew = True
+    while grew:
+        grew = False
+        for v in g.nonterminals:
+            if v not in reach and any(w in reach for w in g.out[v]):
+                reach.add(v)
+                grew = True
+    return frozenset(v for v in g.nonterminals if v not in reach)
 
 
 def test_initial_basic_situation_matches_the_colouring_reference():
     rng = random.Random(17)
     covered = Counter()
-    for k in range(330):
+    for k in range(1200):
         if k % 3 == 2:
             prep = une_preprocess(_board_with_terminal_choices(rng, 2, symmetric=True))
-            game, unreachable = prep.game, prep.unreachable
-            covered["preprocessed with unreachable vertices"] += bool(unreachable)
+            game = prep.game
+            assert prep.unreachable == _reaches_no_terminal(game.graph)
         else:
             game = _board_with_terminal_choices(rng, 2 + k % 3)
-            unreachable = frozenset()
             covered["3 players"] += game.graph.n_players == 3
         g = game.graph
+        unreachable = _reaches_no_terminal(g)
+        covered["unreachable vertices"] += bool(unreachable)
         covered["best terminal is not the lowest id"] += any(
             game.best_terminal(v) != next((w for w in g.out[v] if g.is_terminal(w)), None)
             for v in g.nonterminals
         )
-        got = _start_or_error(initial_basic_situation, game, unreachable)
-        assert got == _start_or_error(une_reference.initial_basic_situation, game, unreachable)
-        if isinstance(got, str):
-            covered["no route to a terminal"] += 1
-        else:
-            covered["two or more layers"] += any(
-                not g.is_terminal(got[v]) and not g.is_terminal(got[got[v]])
-                for v in g.nonterminals if v not in unreachable
-            )
+        got = initial_basic_situation(game)
+        assert got == une_reference.initial_basic_situation(game, unreachable)
+        covered["two or more layers"] += any(
+            not g.is_terminal(got[v]) and not g.is_terminal(got[got[v]])
+            for v in g.nonterminals if v not in unreachable
+        )
+    assert min(covered.values()) >= 200, covered
+
+
+def _ring_with_terminal_choices(rng):
+    """A 2-player infinite-averse ring, alternately owned, on which most
+    vertices hold several terminal moves and terminal costs often tie."""
+    n_pos, n_term = rng.randint(4, 8), rng.randint(2, 4)
+    owners = [1 + v % 2 for v in range(n_pos)] + [None] * n_term
+    edges = set()
+    for v in range(n_pos):
+        edges |= {(v, (v + 1) % n_pos), ((v + 1) % n_pos, v)}
+        if rng.random() < 0.8:
+            exits = rng.sample(range(n_pos, n_pos + n_term), rng.randint(1, min(3, n_term)))
+            edges.update((v, w) for w in exits)
+    tcost = {w: (-rng.randint(1, 3), -rng.randint(1, 3)) for w in range(n_pos, n_pos + n_term)}
+    return terminal_game(owners, edges, tcost, 2)
+
+
+def test_theorem3_never_takes_a_dropped_terminal_move():
+    # Replays the dynamics as criterion 6 does: no situation of the run, the
+    # first one included, takes a move that une_preprocess lists as dropped.
+    rng = random.Random(19)
+    covered = Counter()
+    for _ in range(400):
+        game = _ring_with_terminal_choices(rng)
+        result = solve_theorem3(game)
+        prep = result.prep
+        work = prep.game
+        g = work.graph
+        dropped = set(prep.dropped_edges)
+        sigma = initial_basic_situation(work)
+        situations = [sigma]
+        for player, changed in result.steps:
+            improved = uniform_best_improvement(work, sigma, player)
+            assert tuple(v for v in g.nonterminals if improved[v] != sigma[v]) == changed
+            sigma = improved
+            situations.append(sigma)
+        for situation in situations:
+            assert not any((v, situation[v]) in dropped for v in g.nonterminals)
+        row = work._int_costs[1]
+        owned = {v: row[g.owner[v] - 1] for v, _ in dropped}
+        covered["dropped moves"] += bool(dropped)
+        covered["dropped tie"] += any(
+            owned[v][w] == owned[v][work.best_terminal(v)] for v, w in dropped
+        )
+        covered["improvement moves a vertex with dropped moves"] += any(
+            v in owned for _, changed in result.steps for v in changed
+        )
     assert min(covered.values()) >= 30, covered
 
 
@@ -372,7 +424,7 @@ def test_best_response_neighbor_inequality():
         prep = une_preprocess(game)
         work = prep.game
         g = work.graph
-        sigma = initial_basic_situation(work, prep.unreachable)
+        sigma = initial_basic_situation(work)
         for player in (1, 2):
             strategy, _ = uniform_best_response(work, sigma, player)
             combined = sigma.replace(strategy)
@@ -469,8 +521,7 @@ def test_stalled_improvement_breaks_the_potential(monkeypatch):
 
 
 def test_terminal_path_checks_raise_under_dash_O():
-    # These checks must not be plain asserts: under -O the first one used to
-    # loop forever.
+    # These checks must not be plain asserts, which -O strips.
     code = textwrap.dedent(
         """
         import sys
@@ -478,12 +529,8 @@ def test_terminal_path_checks_raise_under_dash_O():
         from pathgames.errors import InternalCheckFailed
         from pathgames.model import Situation, terminal_game
         from pathgames.reductions import contract_small_game, lift_situation
-        from pathgames.une import ResponseTables, _assemble_strategy, initial_basic_situation
+        from pathgames.une import ResponseTables, _assemble_strategy
 
-        # vertices 0 and 1 cannot reach the terminal and are not marked so
-        cut_off = terminal_game(
-            [1, 2, 1, None], [(0, 1), (1, 0), (2, 3)], {3: (-1, -1)}, n_players=2
-        )
         exit_only = terminal_game([1, None], [(0, 1)], {1: (-1,)}, n_players=1)
         no_route = ResponseTables(1, (Fraction(-5), Fraction(-1)), (1, 0))
         chain = terminal_game(
@@ -491,7 +538,6 @@ def test_terminal_path_checks_raise_under_dash_O():
         )
         _, cmap = contract_small_game(chain)
         for run in (
-            lambda: initial_basic_situation(cut_off),
             lambda: _assemble_strategy(exit_only, Situation((1, None)), no_route),
             lambda: lift_situation(Situation((None, None, None)), cmap),
         ):
@@ -509,7 +555,6 @@ def test_terminal_path_checks_raise_under_dash_O():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == [
-        "1 uncolored vertex cannot reach the colored region",
         "1 no optimal move at vertex 0",
         "1 situation has no move at component 0",
     ]

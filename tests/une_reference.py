@@ -2,8 +2,9 @@
 
 Each round scans every uncoloured vertex and points it at its lowest-id
 already-coloured out-neighbour. The library builds the same situation with
-one reverse breadth-first search (``graphalg.tree_toward``); tests require
-both to return identical situations, or to raise the same error.
+one reverse breadth-first search (``graphalg.tree_toward``) and finds the
+vertices that reach no terminal itself; tests pass them here as
+``unreachable`` and require both to return identical situations.
 """
 
 from __future__ import annotations

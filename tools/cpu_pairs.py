@@ -13,6 +13,17 @@ over rounds of each checkout's min of k, with the median of the per-round
 ratios change / parent. For ``crosscheck-small`` the same is reported per
 game family (game i comes from family i mod 4).
 
+With ``--opcodes``, one worker per checkout runs one op to warm up, then
+counts the Python bytecode instructions executed (``sys.settrace`` with
+``frame.f_trace_opcodes``) over the seed's first ``--games`` ops, in total,
+per game family for ``crosscheck-small``, and per module of
+``src/pathgames`` (by ``co_filename``); ``--passes`` and ``--rounds`` do
+not apply. The count is deterministic, so one run per
+checkout is enough, but it is not a time: only bytecode is counted, not the
+work of C code (sorts, ``heapq``, dict and set building, big-int
+arithmetic), and counts differ between interpreter versions, so the report
+names ``sys.version``.
+
 Every worker also hashes its ops' outputs with the workload's digest key;
 the script exits 1 if the two checkouts' hashes differ. Nothing is
 written, under ``perfbench/`` or elsewhere.
@@ -26,11 +37,14 @@ import statistics
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
+from typing import Iterable
 
 
-def worker(checkout: Path, workload_name: str, seed: int, games: int, passes: int) -> dict:
-    """Min-of-k CPU ms per op of one checkout, overall and per family."""
+def _setup(checkout: Path, workload_name: str, seed: int, games: int):
+    """The checkout's ``workloads`` module, workload, library, seed pool, and
+    each game's family (``"all"`` outside ``crosscheck-small``)."""
     sys.dont_write_bytecode = True
     sys.path.insert(0, str(checkout / "perfbench"))
     import run
@@ -41,6 +55,13 @@ def worker(checkout: Path, workload_name: str, seed: int, games: int, passes: in
     pool = workloads.items(workload, seed, games)
     families = list(workload.sizes) if workload_name == "crosscheck-small" else ["all"]
     family_of = [families[i % len(families)] for i in range(len(pool))]
+    return workloads, workload, pg, pool, family_of
+
+
+def worker(checkout: Path, workload_name: str, seed: int, games: int, passes: int) -> dict:
+    """Min-of-k CPU ms per op of one checkout, overall and per family."""
+    workloads, workload, pg, pool, family_of = _setup(checkout, workload_name, seed, games)
+    families = list(dict.fromkeys(family_of))
     best: dict[str, float] = {}
     digests = []
     for k in range(passes):
@@ -60,12 +81,51 @@ def worker(checkout: Path, workload_name: str, seed: int, games: int, passes: in
     return {"ms_per_op": best, "digest": workloads.digest(tuple(digests))}
 
 
+def opcode_worker(checkout: Path, workload_name: str, seed: int, games: int) -> dict:
+    """Bytecode instructions executed per op: in total, per family and per
+    library module."""
+    workloads, workload, pg, pool, family_of = _setup(checkout, workload_name, seed, games)
+    package = Path(pg.model.__file__).parent
+    workload.op(pg, pool[0])  # warm-up: lazy imports and per-process caches
+    by_file: Counter[str] = Counter()
+    by_family: Counter[str] = Counter()
+
+    def opcode(frame, event, arg):
+        if event == "opcode":
+            by_file[frame.f_code.co_filename] += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return opcode
+
+    digests = []
+    for item, family in zip(pool, family_of):
+        before = sum(by_file.values())
+        sys.settrace(call)
+        try:
+            out = workload.op(pg, item)
+        finally:
+            sys.settrace(None)
+        by_family[family] += sum(by_file.values()) - before
+        digests.append(workloads.digest(workload.key(out)))
+    per_op = {"total": sum(by_file.values()) / len(pool)}
+    for family, n in by_family.items():
+        if family != "all":
+            per_op[family] = n / family_of.count(family)
+    for name, n in sorted(by_file.items()):
+        if Path(name).parent == package:
+            per_op[Path(name).name] = n / len(pool)
+    return {"opcodes_per_op": per_op, "digest": workloads.digest(tuple(digests))}
+
+
 def run_worker(checkout: Path, args) -> dict:
     command = [
         sys.executable, __file__, "--worker", str(checkout),
         "--workload", args.workload, "--seed", str(args.seed),
         "--games", str(args.games), "--passes", str(args.passes),
-    ]
+    ] + ["--opcodes"] * args.opcodes
     done = subprocess.run(command, capture_output=True, text=True)
     if done.returncode != 0:
         raise SystemExit(f"worker for {checkout} failed:\n{done.stderr}")
@@ -81,16 +141,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--games", type=int, default=400, help="games per pass")
     parser.add_argument("--passes", type=int, default=5, help="passes per worker (k)")
     parser.add_argument("--rounds", type=int, default=4, help="alternating worker pairs")
+    parser.add_argument("--opcodes", action="store_true",
+                        help="count executed bytecode instructions instead of CPU time")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker is not None:
-        result = worker(args.worker, args.workload, args.seed, args.games, args.passes)
+        if args.opcodes:
+            result = opcode_worker(args.worker, args.workload, args.seed, args.games)
+        else:
+            result = worker(args.worker, args.workload, args.seed, args.games, args.passes)
         print(json.dumps(result))
         return 0
     if args.change is None:
         parser.error("PARENT_DIR and CHANGE_DIR are required")
 
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    if args.opcodes:
+        results = {side: run_worker(path, args) for side, path in checkouts.items()}
+        report_opcodes(results["parent"], results["change"], args)
+        return check_digests(results.values())
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for r in range(args.rounds):
         order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
@@ -108,7 +177,23 @@ def main(argv: list[str] | None = None) -> int:
         ratios = [c / p for p, c in zip(parent, change)]
         print(f"  {name}: parent {statistics.median(parent):.3f}  "
               f"change {statistics.median(change):.3f}  ratio {statistics.median(ratios):.3f}")
-    digests = {result["digest"] for side in runs.values() for result in side}
+    return check_digests([result for side in runs.values() for result in side])
+
+
+def report_opcodes(parent: dict, change: dict, args) -> None:
+    parent, change = parent["opcodes_per_op"], change["opcodes_per_op"]
+    version = sys.version.replace("\n", " ")
+    print(f"{args.workload}, seed {args.seed}, {args.games} games, "
+          f"bytecode instructions per op on Python {version}:")
+    for name in list(parent) + [name for name in change if name not in parent]:
+        p, c = parent.get(name, 0), change.get(name, 0)
+        ratio = f"{c / p:.3f}" if p else "-"
+        print(f"  {name}: parent {p:.0f}  change {c:.0f}  ratio {ratio}")
+
+
+def check_digests(results: Iterable[dict]) -> int:
+    """Print whether the workers' outputs agree; 1 if they differ."""
+    digests = {result["digest"] for result in results}
     if len(digests) != 1:
         print(f"outputs differ: {sorted(digests)}")
         return 1
