@@ -40,14 +40,13 @@ def _resolve_vertex(game: Game, label: str | None) -> int | None:
     if label is None:
         return None
     g = game.graph
+    if label in g.names:
+        return g.names.index(label)
     if label.isdecimal() or (label.startswith("-") and label[1:].isdecimal()):
         v = int(label)
         if 0 <= v < g.n_vertices:
             return v
         raise GameFormatError(f"vertex id {v} out of range")
-    for v in range(g.n_vertices):
-        if g.names[v] == label:
-            return v
     raise GameFormatError(f"no vertex named {label!r}")
 
 
@@ -201,7 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run a constructive equilibrium solver")
     p.add_argument("kind", choices=["sp-ne", "terminal-ne", "une"])
     p.add_argument("file")
-    p.add_argument("--start", help="start vertex id or name (default: the file's initial; not une)")
+    p.add_argument("--start", help="start vertex: a name first, else an id "
+                        "(default: the file's initial; not une)")
     p.add_argument("--transform", action="store_true",
                    help="apply the positivity reweighting first (sp-ne only)")
     p.add_argument("--trace", action="store_true",
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive enumeration analyses")
     p.add_argument("kind", choices=["normal-form", "ne", "une"])
     p.add_argument("file")
-    p.add_argument("--start", help="start vertex id or name (normal-form and ne only)")
+    p.add_argument("--start", help="start vertex: a name first, else an id "
+                        "(normal-form and ne only)")
     p.add_argument("--csv", help="write the normal form as CSV to this path")
     p.set_defaults(func=_cmd_oracle)
 
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="render a game as Graphviz DOT")
     p.add_argument("file")
-    p.add_argument("--situation", help="bold these moves, e.g. \"s:a,a:b\"")
+    p.add_argument("--situation", help="bold these moves, e.g. \"s:a,a:b\"; "
+                        "each vertex is a name first, else an id")
     p.add_argument("--out", help="output path (default: stdout)")
     p.set_defaults(func=_cmd_export_dot)
     return parser

@@ -4,12 +4,13 @@ Everything here is deliberately simple and exhaustive: every situation or
 deviation is traced with ``play.trace``. Only bookkeeping is shared within
 one call, never a trace:
 
-- a shortest path game costs each distinct play once, and a terminal game,
-  whose costs depend only on the outcome, each outcome once (the deviation
-  checks compare outcomes with the set of those that beat the current
-  cost);
-- a deviation check builds each of a player's deviated situations once and
-  traces it from every start;
+- a normal form costs each distinct play (shortest path games) or outcome
+  (terminal games, whose costs depend only on the outcome) once;
+- a deviation check builds each of a player's deviated situations once,
+  traces it from every start and compares its play with the current one on
+  the player's row of the game's integer cost table: the outcome's entry
+  in a terminal game, ``play._sp_rank`` in a shortest path game. Exact
+  costs are built only for a failing report's note;
 - the equilibrium scan of a normal form ranks each player's cost once per
   distinct cost vector and takes the line minima on those integer ranks.
 
@@ -32,7 +33,6 @@ from typing import Iterator, Mapping
 from . import graphalg
 from .errors import PathgamesError, PreconditionError, TooLarge
 from .model import (
-    ExtCost,
     Game,
     GameGraph,
     SPGame,
@@ -42,7 +42,7 @@ from .model import (
     _start_or_initial,
     one_player_out,
 )
-from .play import Play, sp_cost, terminal_cost, trace
+from .play import _sp_rank, sp_cost, terminal_cost, trace
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "PATHGAMES_ENUM_CAP"
@@ -117,10 +117,11 @@ def player_strategies(
 
 
 def effective_cost(game: Game, play, player: int):
-    """Dispatch to the applicable cost semantics.
+    """A play's exact cost for one player under the game's semantics.
 
-    Shortest path games yield ExtCost, terminal games plain Fraction; both
-    support the exact comparisons the equilibrium checks need.
+    Shortest path games yield ExtCost, terminal games plain Fraction.
+    ``normal_form`` keeps these in its cells; the deviation checks compare
+    on the integer cost table and call this only for a failing report.
     """
     if isinstance(game, SPGame):
         return sp_cost(game, play, player)
@@ -130,9 +131,9 @@ def effective_cost(game: Game, play, player: int):
 def _require_start(game: Game, start: int | None) -> int:
     start = _start_or_initial(game.graph, start)
     if start is None:
-        raise PathgamesError("no start vertex given and game has no initial vertex")
+        raise PreconditionError("no start vertex given and game has no initial vertex")
     if game.graph.is_terminal(start):
-        raise PathgamesError(f"start vertex {start} is a terminal")
+        raise PreconditionError(f"start vertex {start} is a terminal")
     return start
 
 
@@ -361,16 +362,13 @@ def verify_ne_sp(
     if _edge_positive(game):
         # an infinite play costs +inf here; all sums run on the integer table
         play = trace(g, situation, start)
-        walked = play.path_edges() if play.is_terminal else None
         for player in g.players:
             adj = one_player_out(g, player, situation.moves)
             weight = game._int_weight(player)
             dist = graphalg.lex_dist_to(adj, weight, g.terminals)
             reach = dist[start]
-            better = reach is not None and (
-                walked is None or reach[0] < sum(weight(u, v) for u, v in walked)
-            )
-            if better:
+            row = game._int_costs[1][player - 1]
+            if reach is not None and (0, reach[0]) < _sp_rank(row, play, player):
                 path = graphalg.canonical_path(start, adj, weight, dist)
                 override = {u: w for u, w in zip(path, path[1:]) if g.owner[u] == player}
                 cost = Fraction(reach[0], game._int_costs[0])
@@ -403,9 +401,11 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
     The witness is the first strict improvement in loop order: players,
     then starts, then the player's strategies in lexicographic order. Each
     deviated situation is built once per player and traced from every
-    start; an SP game costs each distinct play once per player, and a
-    terminal game compares outcomes against the set of those that beat the
-    current cost.
+    start. Its play is compared with the current one on the player's row
+    of the integer cost table: a terminal game reads the outcome's entry
+    (the None key is the infinite-play cost), an SP game ranks the play
+    with ``_sp_rank``, which raises ZeroSumMixedCycle where ``sp_cost``
+    would. The exact costs are built only for the failing report's note.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
@@ -413,29 +413,19 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
     terminal = isinstance(game, TerminalGame)
     for player in g.players:
         deviations = _deviations(g, situation, player, cap)
-        seen: dict[Play, ExtCost] = {}
+        row = game._int_costs[1][player - 1]
         for v in starts:
-            if terminal:
-                cur = terminal_cost(game, base[v], player)
-                wins = {w for w in g.terminals if game.cost_at(w, player) < cur}
-                if game.cycle_cost(player) < cur:
-                    wins.add(None)
-            else:
-                cur = _sp_cost_once(game, base[v], player, seen)
+            now = base[v]
+            cur = row[now.terminal] if terminal else _sp_rank(row, now, player)
             for deviated in deviations:
                 play = trace(g, deviated, v)
-                if terminal:
-                    if play.terminal not in wins:
-                        continue
-                    alt = terminal_cost(game, play, player)
-                else:
-                    alt = _sp_cost_once(game, play, player, seen)
-                    if not alt < cur:
-                        continue
-                return VerifyReport(
-                    False, player, v, deviated,
-                    note=f"player {player} improves {cur} -> {alt} from {g.name(v)}",
-                )
+                if (row[play.terminal] if terminal else _sp_rank(row, play, player)) < cur:
+                    before = effective_cost(game, now, player)
+                    after = effective_cost(game, play, player)
+                    return VerifyReport(
+                        False, player, v, deviated,
+                        note=f"player {player} improves {before} -> {after} from {g.name(v)}",
+                    )
     return VerifyReport(True, start=start)
 
 
@@ -453,11 +443,3 @@ def _deviations(graph: GameGraph, situation: Situation, player: int, cap) -> lis
             moves[v] = t
         deviations.append(Situation(tuple(moves)))
     return deviations
-
-
-def _sp_cost_once(game: SPGame, play: Play, player: int, seen: dict[Play, ExtCost]) -> ExtCost:
-    """``sp_cost`` of the play, computed on its first sight in ``seen``."""
-    cost = seen.get(play)
-    if cost is None:
-        cost = seen[play] = sp_cost(game, play, player)
-    return cost

@@ -112,25 +112,36 @@ def outcomes(graph: GameGraph, situation: Situation) -> list[int | None]:
 def sp_cost(game: SPGame, play: Play, player: int) -> ExtCost:
     """Total cost of a play for one player under shortest-path semantics.
 
-    Terminal plays sum the move costs. Cycle plays take the sign of the cycle
-    sum; a zero-sum cycle is only meaningful when every one of its edges
-    costs zero, in which case the finite approach cost is returned. The
-    sums run on the game's integer cost table.
+    The exact form of ``_sp_rank`` on the player's row of the game's
+    integer cost table: the total divided by the table's scale. Raises
+    ZeroSumMixedCycle where ``_sp_rank`` does.
     """
     scale, rows = game._int_costs
-    cost = rows[player - 1].__getitem__
+    rank, total = _sp_rank(rows[player - 1], play, player)
+    if rank:  # the shared constants, so equal costs often compare by identity
+        return PLUS_INF if rank > 0 else MINUS_INF
+    return ExtCost(0, Fraction(total, scale))
+
+
+def _sp_rank(row, play: Play, player: int) -> tuple[int, int]:
+    """``(rank, total)`` of a play on one player's scaled integer cost row.
+
+    Rank -1/0/1 stands for -inf/finite/+inf, and the tuples order as the
+    costs do. Terminal plays sum the move costs. Cycle plays take the sign
+    of the cycle sum, with total 0; a zero-sum cycle is only meaningful
+    when every one of its edges costs zero (else ZeroSumMixedCycle), in
+    which case the total is the finite approach cost.
+    """
+    cost = row.__getitem__
     if play.is_terminal:
-        return ExtCost.finite(Fraction(sum(map(cost, play.path_edges())), scale))
+        return 0, sum(map(cost, play.path_edges()))
     cyc = list(map(cost, play.cycle_edges()))
     s = sum(cyc)
-    if s > 0:
-        return PLUS_INF
-    if s < 0:
-        return MINUS_INF
+    if s:
+        return (1 if s > 0 else -1), 0
     if any(cyc):
         raise ZeroSumMixedCycle(player, play.cycle)
-    approach = sum(map(cost, zip(play.prefix, play.prefix[1:])))
-    return ExtCost.finite(Fraction(approach, scale))
+    return 0, sum(map(cost, zip(play.prefix, play.prefix[1:])))
 
 
 def terminal_cost(game: TerminalGame, play: Play, player: int) -> Fraction:

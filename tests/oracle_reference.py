@@ -3,9 +3,11 @@
 These re-cost every cell and every deviation from scratch, with one
 ``effective_cost`` call per player and play and a ``Fraction`` or
 ``ExtCost`` comparison per deviation, and scan for equilibria by comparing
-costs cell by cell. The library costs each distinct play (shortest path
-games) or outcome (terminal games) once per call and scans on integer
-ranks; tests require both to return identical cells, equilibria and
+costs cell by cell. The library's normal form costs each distinct play
+(shortest path games) or outcome (terminal games) once per call and scans
+on integer ranks, and its deviation check compares plays on the game's
+integer cost table, building exact costs only for a failing report's
+note; tests require both to return identical cells, equilibria and
 reports.
 """
 

@@ -403,6 +403,37 @@ def test_solve_start_vertex_errors(capsys, example_file, kind, name, start, expe
     assert out == ""
 
 
+def test_a_vertex_label_is_a_name_first(capsys, example_file):
+    # g2 names its vertices 1, 2, a1, a2 at ids 0-3, so "1:2" is the move
+    # from the vertex named 1 to the one named 2 (ids 0 -> 1), as the
+    # situations the CLI prints name them, and "--start 2" is id 1
+    path = example_file("g2")
+    code, out, err = run(capsys, "export-dot", path, "--situation", "1:2,2:a2")
+    assert (code, err) == (0, "")
+    assert [line.split(" [")[0].strip() for line in out.splitlines() if "penwidth" in line] == [
+        "v0 -> v1", "v1 -> v3",
+    ]
+    code, out, err = run(capsys, "solve", "terminal-ne", path, "--start", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "play: 2 -> a2"
+
+
+@pytest.mark.parametrize("kind", ["normal-form", "ne"])
+def test_oracle_start_errors_are_preconditions(capsys, example_file, tmp_path, kind):
+    path = example_file("g2")
+    code, out, err = run(capsys, "oracle", kind, path, "--start", "a1")
+    assert (code, out, err) == (3, "", "error: start vertex 2 is a terminal\n")
+    with open(path) as fh:
+        data = json.load(fh)
+    del data["initial"]
+    no_initial = tmp_path / "no_initial.json"
+    no_initial.write_text(json.dumps(data))
+    code, out, err = run(capsys, "oracle", kind, str(no_initial))
+    assert (code, out, err) == (
+        3, "", "error: no start vertex given and game has no initial vertex\n"
+    )
+
+
 @pytest.mark.parametrize("argv, message", [
     (("solve", "une", "--start", "0"), "--start applies only to sp-ne and terminal-ne"),
     (("oracle", "une", "--start", "0"), "--start applies only to normal-form and ne"),

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "cpu_pairs.py"
 
@@ -64,3 +66,15 @@ def test_differing_outputs_exit_1(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "round 1: parent 2.000  change 1.000  ratio 0.500 ms/op" in out
     assert out.endswith("outputs differ: ['a', 'b']\n")
+
+
+@pytest.mark.parametrize("flag", ["--games", "--passes", "--rounds"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_counts_below_1_are_usage_errors_before_any_worker(monkeypatch, capsys, flag, value):
+    tool = _load_tool()
+    monkeypatch.setattr(tool, "run_worker", lambda checkout, args: pytest.fail("worker started"))
+    monkeypatch.setattr(subprocess, "run", lambda *a, **k: pytest.fail("process started"))
+    with pytest.raises(SystemExit) as exit_info:
+        tool.main(["p", "c", "--workload", "crosscheck-small", flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be at least 1, got {value}" in capsys.readouterr().err

@@ -14,6 +14,10 @@ only ever takes a vertex's best terminal move, so giving a vertex one more
 terminal move that its controller likes strictly less must not change it
 either (Theorem 2's start situation may take such a move, so it is not
 checked there).
+
+Renaming the vertex ids changes no cost, so a solution of the relabelled
+game, mapped back, must be an equilibrium of the input game. The moves
+themselves may differ, because the solvers break ties by lowest id.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 import genutil  # noqa: E402
 from pathgames import oracle  # noqa: E402
-from pathgames.model import SPGame, TerminalGame, sp_game, terminal_game  # noqa: E402
+from pathgames.model import SPGame, Situation, TerminalGame, sp_game, terminal_game  # noqa: E402
 from pathgames.spne import solve_theorem1  # noqa: E402
 from pathgames.terminalne import solve_theorem2  # noqa: E402
 from pathgames.une import solve_theorem3  # noqa: E402
@@ -171,3 +175,62 @@ def test_a_worse_terminal_move_keeps_theorem_3(rng, ring):
     assert after.rounds == before.rounds
     assert after.steps == before.steps
     assert after.nu_trajectory == before.nu_trajectory
+
+
+def _relabel(game, rng):
+    """The game with each vertex v renamed ``perm[v]`` for a random
+    permutation ``perm``, and ``perm``."""
+    g = game.graph
+    perm = list(range(g.n_vertices))
+    rng.shuffle(perm)
+    owner = [None] * g.n_vertices
+    for v, o in enumerate(g.owner):
+        owner[perm[v]] = o
+    initial = perm[g.initial]
+    if isinstance(game, SPGame):
+        cost = {(perm[u], perm[v]): game.edge_cost[u, v] for u, v in g.edges}
+        return sp_game(owner, cost, g.n_players, initial=initial), perm
+    return terminal_game(
+        owner,
+        [(perm[u], perm[v]) for u, v in g.edges],
+        {perm[w]: game.terminal_cost[w] for w in g.terminals},
+        g.n_players,
+        game.infinite_cost,
+        initial,
+    ), perm
+
+
+def _map_back(situation: Situation, perm) -> Situation:
+    """The relabelled game's situation as one of the input game."""
+    back = {new: old for old, new in enumerate(perm)}
+    return Situation(tuple(
+        None if (t := situation.moves[perm[v]]) is None else back[t] for v in range(len(perm))
+    ))
+
+
+@SETTINGS
+@given(symmetric_positive_games(), st.randoms(use_true_random=False))
+def test_relabelling_keeps_theorem_1_an_equilibrium(game, rng):
+    relabelled, perm = _relabel(game, rng)
+    situation = _map_back(solve_theorem1(relabelled), perm)
+    assert oracle.verify_ne_sp(game, situation).ok
+
+
+@SETTINGS
+@given(st.randoms(use_true_random=False))
+def test_relabelling_keeps_theorem_2_an_equilibrium(rng):
+    game = genutil.random_symmetric_terminal(rng, max_v=7)
+    assume(oracle.situation_count(game) <= 2000)
+    relabelled, perm = _relabel(game, rng)
+    situation = _map_back(solve_theorem2(relabelled), perm)
+    assert oracle.verify_ne_terminal(game, situation).ok
+
+
+@SETTINGS
+@given(st.randoms(use_true_random=False))
+def test_relabelling_keeps_theorem_3_a_uniform_equilibrium(rng):
+    game = genutil.random_ring_ciw_terminal(rng, max_v=10)
+    assume(oracle.situation_count(game) <= 2000)
+    relabelled, perm = _relabel(game, rng)
+    situation = _map_back(solve_theorem3(relabelled).situation, perm)
+    assert oracle.verify_une(game, situation).ok

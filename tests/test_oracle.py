@@ -340,7 +340,9 @@ def test_costing_once_matches_the_per_cell_reference():
 
 
 def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
-    # as many traces as the reference, but each play or outcome is costed once
+    # as many traces as the reference; a normal form costs each play or
+    # outcome once, and a deviation check compares plays on the integer cost
+    # table, costing exactly only its failing report's two plays for the note
     real_trace = play.trace
     traces = genutil.count_calls(monkeypatch, play, "trace")
     sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
@@ -380,15 +382,16 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
             )
         for situation, where in candidates:
             starts = g.nonterminals if where is None else (where,)
-            report, n_traces, plays, sp_n, terminal_n = counted(lambda: verify(situation, where))
+            report, n_traces, _, sp_n, terminal_n = counted(lambda: verify(situation, where))
             _, n_reference, *_ = counted(
                 lambda: oracle_reference.verify_exhaustive(game, situation, where)
             )
             assert n_traces == n_reference
-            assert sp_n <= plays * n
-            # a terminal game costs the current play once per player and
-            # start, plus the witness's outcome for the report's note
-            assert terminal_n <= n * len(starts) + (not report.ok)
+            note_costs = 0 if report.ok else 2
+            if isinstance(game, SPGame):
+                assert (sp_n, terminal_n) == (note_costs, 0)
+            else:
+                assert (sp_n, terminal_n) == (0, note_costs)
             if not report.ok:
                 continue
             passing += 1
@@ -475,3 +478,20 @@ def test_start_outside_the_vertex_range_raises(start):
     ):
         with pytest.raises(PreconditionError, match=rf"^start vertex {start} outside 0\.\.2$"):
             run()
+
+
+def test_a_missing_or_terminal_start_is_a_precondition():
+    # the solvers raise PreconditionError for the same condition
+    board = [(1, 0), (1, 2), (2, 1), (2, 0)]
+    terminal = terminal_game([None, 1, 2], board, {0: (-1, -2)}, 2)
+    situation = Situation((None, 0, 0))
+    for start, message in (
+        (None, "no start vertex given and game has no initial vertex"),
+        (0, "start vertex 0 is a terminal"),
+    ):
+        for run in (
+            lambda: oracle.normal_form(terminal, start),
+            lambda: oracle.verify_ne_terminal(terminal, situation, start),
+        ):
+            with pytest.raises(PreconditionError, match=rf"^{message}$"):
+                run()

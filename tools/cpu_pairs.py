@@ -132,15 +132,23 @@ def run_worker(checkout: Path, args) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, nargs="?")
     parser.add_argument("change", type=Path, nargs="?")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--games", type=int, default=400, help="games per pass")
-    parser.add_argument("--passes", type=int, default=5, help="passes per worker (k)")
-    parser.add_argument("--rounds", type=int, default=4, help="alternating worker pairs")
+    parser.add_argument("--games", type=positive_int, default=400, help="games per pass")
+    parser.add_argument("--passes", type=positive_int, default=5, help="passes per worker (k)")
+    parser.add_argument("--rounds", type=positive_int, default=4, help="alternating worker pairs")
     parser.add_argument("--opcodes", action="store_true",
                         help="count executed bytecode instructions instead of CPU time")
     parser.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
