@@ -1,16 +1,13 @@
 """Brute-force ground truth: enumeration, normal forms, NE/UNE search.
 
-Everything here is deliberately simple and exhaustive: every situation or
-deviation is traced with ``play.trace``. Only bookkeeping is shared within
-one call, never a trace:
+Everything here is exhaustive, but each distinct play is walked once:
 
-- a normal form costs each distinct play (shortest path games) or outcome
-  (terminal games, whose costs depend only on the outcome) once;
-- a deviation check builds each of a player's deviated situations once,
-  traces it from every start and compares its play with the current one on
-  the player's row of the game's integer cost table: the outcome's entry
-  in a terminal game, ``play._sp_rank`` in a shortest path game. Exact
-  costs are built only for a failing report's note;
+- a normal form walks the tree of plays from its start and costs each
+  distinct play (shortest path games) or outcome (terminal games) once;
+- a deviation check values each of a player's strategies from every start
+  with ``play._walk_rank`` on the player's row of the integer cost table,
+  with a memo that lives for that deviation only; only a failing report's
+  witness is traced and costed exactly;
 - the equilibrium scan of a normal form ranks each player's cost once per
   distinct cost vector and takes the line minima on those integer ranks.
 
@@ -42,7 +39,7 @@ from .model import (
     _start_or_initial,
     one_player_out,
 )
-from .play import _sp_rank, sp_cost, terminal_cost, trace
+from .play import _MIXED, Play, _sp_rank, _walk_rank, sp_cost, terminal_cost, trace
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "PATHGAMES_ENUM_CAP"
@@ -69,6 +66,14 @@ def resolve_cap(cap: int | None = None) -> int:
     return cap
 
 
+def _within_cap(count: int, cap: int | None) -> int:
+    """The resolved cap; TooLarge if ``count`` exceeds it."""
+    limit = resolve_cap(cap)
+    if count > limit:
+        raise TooLarge(count, limit)
+    return limit
+
+
 def _graph_of(game_or_graph) -> GameGraph:
     return game_or_graph if isinstance(game_or_graph, GameGraph) else game_or_graph.graph
 
@@ -81,10 +86,7 @@ def situation_count(game_or_graph) -> int:
 def enumerate_situations(game_or_graph, cap: int | None = None) -> Iterator[Situation]:
     """All situations in lexicographic order by vertex id, then target id."""
     g = _graph_of(game_or_graph)
-    count = situation_count(g)
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise TooLarge(count, limit)
+    _within_cap(situation_count(g), cap)
     verts = g.nonterminals
     for combo in itertools.product(*(g.out[v] for v in verts)):
         moves: list[int | None] = [None] * g.n_vertices
@@ -101,10 +103,7 @@ def _own_rows(graph: GameGraph, player: int, cap) -> tuple[list[int], list[tuple
     """
     verts = [v for v in graph.nonterminals if graph.owner[v] == player]
     rows = [graph.out[v] for v in verts]
-    count = prod(map(len, rows))
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise TooLarge(count, limit)
+    _within_cap(prod(map(len, rows)), cap)
     return verts, rows
 
 
@@ -135,6 +134,16 @@ def _require_start(game: Game, start: int | None) -> int:
     if game.graph.is_terminal(start):
         raise PreconditionError(f"start vertex {start} is a terminal")
     return start
+
+
+def _require_moves(graph: GameGraph, situation: Situation) -> None:
+    """PreconditionError unless each non-terminal moves along an out-edge, and no terminal."""
+    moves = situation.moves
+    if len(moves) != graph.n_vertices:
+        raise PreconditionError(f"situation has {len(moves)} entries, not {graph.n_vertices}")
+    for v, t in enumerate(moves):
+        if (t is not None) if graph.owner[v] is None else (v, t) not in graph.edge_set:
+            raise PreconditionError(f"situation entry {t} at vertex {v} is not a move")
 
 
 @dataclass(frozen=True)
@@ -217,36 +226,72 @@ class NormalForm:
 
 
 def normal_form(game: Game, start: int | None = None, cap: int | None = None) -> NormalForm:
+    """Every situation's cost vector from ``start``, and the equilibria."""
+    return next(_normal_forms(game, (_require_start(game, start),), cap))
+
+
+def _normal_forms(game: Game, starts, cap) -> Iterator[NormalForm]:
+    """The normal form from each start in turn; the axes are built once.
+
+    The cells are costed in the order of each play's first cell, once per
+    distinct play (shortest path games) or outcome (terminal games).
+    """
     g = game.graph
-    start = _require_start(game, start)
     count = situation_count(g)
-    limit = resolve_cap(cap)
-    if count > limit:
-        raise TooLarge(count, limit)
-    axes = []
-    for p in g.players:
-        strategies = player_strategies(g, p, cap=limit)
-        axes.append(tuple(tuple(sorted(s.items())) for s in strategies))
-    # a terminal game's costs depend only on the outcome, an SP game's on the play
+    limit = _within_cap(count, cap)
+    axes = tuple(
+        tuple(tuple(sorted(s.items())) for s in player_strategies(g, p, cap=limit))
+        for p in g.players
+    )
+    shape = [len(a) for a in axes]
+    # the cells' mixed radix: the vertices with a choice by player, then id
+    branching = [v for v in sorted(g.nonterminals, key=g.owner.__getitem__) if len(g.out[v]) > 1]
+    stride = {v: prod(len(g.out[u]) for u in branching[i + 1:]) for i, v in enumerate(branching)}
     by_play = isinstance(game, SPGame)
-    vectors: dict = {}
-    cells: dict[tuple[int, ...], tuple] = {}
-    flat: list[tuple] = []  # the cells' vectors in index order
-    moves: list[int | None] = [None] * g.n_vertices
-    for index in itertools.product(*(range(len(a)) for a in axes)):
-        # the axes cover every non-terminal with one of its own moves
-        for strategies, k in zip(axes, index):
-            for v, t in strategies[k]:
-                moves[v] = t
-        play = trace(g, Situation(tuple(moves)), start)
-        key = play if by_play else play.terminal
-        vector = vectors.get(key)
-        if vector is None:
-            vector = vectors[key] = tuple(effective_cost(game, play, p) for p in g.players)
-        cells[index] = vector
-        flat.append(vector)
-    ne = _ne_indices([len(a) for a in axes], flat)
-    return NormalForm(start=start, axes=tuple(axes), cells=cells, ne=ne)
+    for start in starts:
+        flat, plays = _play_tree(g, start, count, branching, stride)
+        vectors: dict = {}
+        for leaf in dict.fromkeys(flat):
+            key = leaf if by_play else plays[leaf].terminal
+            if key not in vectors:
+                vectors[key] = tuple(effective_cost(game, plays[leaf], p) for p in g.players)
+            plays[leaf] = vectors[key]
+        flat = list(map(plays.__getitem__, flat))
+        cells = dict(zip(itertools.product(*map(range, shape)), flat))
+        yield NormalForm(start=start, axes=axes, cells=cells, ne=_ne_indices(shape, flat))
+
+
+def _play_tree(g: GameGraph, start: int, count: int, branching, stride) -> tuple[list, list]:
+    """Each situation's play number from ``start``, and the distinct plays.
+
+    The walk branches over ``g.out[v]`` at each vertex not yet on it. A leaf
+    (a terminal or a repeated vertex) is one play; its situations are the
+    sub-box of cells ``sum(pos_v * stride[v])`` that agree with its moves.
+    An explicit stack keeps long plays off the interpreter's.
+    """
+    out, owner = g.out, g.owner
+    flat, plays = [0] * count, []
+    on_walk: dict[int, int] = {}  # the walk in order, each vertex to its depth
+    todo = [(start, 0, 0)] if count else []  # a vertex to enter, its depth, its first cell
+    while todo:
+        v, depth, base = todo.pop()
+        while len(on_walk) > depth:
+            on_walk.popitem()
+        on_walk[v] = depth
+        for i, w in enumerate(out[v]):
+            first = base + i * stride.get(v, 0)
+            if owner[w] is not None and w not in on_walk:
+                todo.append((w, depth + 1, first))
+                continue
+            walk, k = tuple(on_walk), on_walk.get(w)
+            plays.append(Play(walk, w) if k is None else Play(walk[: k + 1], cycle=walk[k:]))
+            box = [first]
+            for u in branching:
+                if u not in on_walk:
+                    box = [c + j * stride[u] for j in range(len(out[u])) for c in box]
+            for c in box:
+                flat[c] = len(plays) - 1
+    return flat, plays
 
 
 def _ne_indices(shape, flat) -> frozenset[tuple[int, ...]]:
@@ -322,8 +367,7 @@ def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
     if not g.nonterminals:
         return [Situation.of(g, {})]  # the one situation; nobody can deviate
     surviving = None
-    for start in g.nonterminals:
-        nf = normal_form(game, start, cap)
+    for nf in _normal_forms(game, g.nonterminals, cap):
         surviving = nf.ne if surviving is None else surviving & nf.ne
         if not surviving:
             return []
@@ -359,6 +403,7 @@ def verify_ne_sp(
     """
     start = _require_start(game, start)
     g = game.graph
+    _require_moves(g, situation)
     if _edge_positive(game):
         # an infinite play costs +inf here; all sums run on the integer table
         play = trace(g, situation, start)
@@ -387,59 +432,56 @@ def verify_ne_terminal(
     cap: int | None = None,
 ) -> VerifyReport:
     start = _require_start(game, start)
+    _require_moves(game.graph, situation)
     return _verify_exhaustive(game, situation, start, cap)
 
 
 def verify_une(game: Game, situation: Situation, cap: int | None = None) -> VerifyReport:
     """UNE check: exhaustive per-player deviations from every start."""
+    _require_moves(game.graph, situation)
     return _verify_exhaustive(game, situation, None, cap)
 
 
 def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap) -> VerifyReport:
     """Exhaustive deviation check from ``start``, or from every start if None.
 
-    The witness is the first strict improvement in loop order: players,
-    then starts, then the player's strategies in lexicographic order. Each
-    deviated situation is built once per player and traced from every
-    start. Its play is compared with the current one on the player's row
-    of the integer cost table: a terminal game reads the outcome's entry
-    (the None key is the infinite-play cost), an SP game ranks the play
-    with ``_sp_rank``, which raises ZeroSumMixedCycle where ``sp_cost``
-    would. The exact costs are built only for the failing report's note.
+    The witness is the first event in the order players, starts, then the
+    player's strategies: a strict improvement on the player's integer cost
+    row, or a play whose value is undefined (``play._MIXED``). Once an
+    event is found at a start, later strategies scan only the starts before
+    it; an undefined current play ends the scan at its start. The witness's
+    exact costing raises ZeroSumMixedCycle for an undefined play.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
-    base = {v: trace(g, situation, v) for v in starts}
-    terminal = isinstance(game, TerminalGame)
+    by_play = isinstance(game, SPGame)
     for player in g.players:
-        deviations = _deviations(g, situation, player, cap)
+        verts, rows = _own_rows(g, player, cap)
         row = game._int_costs[1][player - 1]
-        for v in starts:
-            now = base[v]
-            cur = row[now.terminal] if terminal else _sp_rank(row, now, player)
-            for deviated in deviations:
-                play = trace(g, deviated, v)
-                if (row[play.terminal] if terminal else _sp_rank(row, play, player)) < cur:
-                    before = effective_cost(game, now, player)
-                    after = effective_cost(game, play, player)
-                    return VerifyReport(
-                        False, player, v, deviated,
-                        note=f"player {player} improves {before} -> {after} from {g.name(v)}",
-                    )
+        memo: dict = {}
+        cur = [_walk_rank(g.owner, situation.moves, row, v, memo, by_play) for v in starts]
+        limit = next((i for i, c in enumerate(cur) if c is _MIXED), len(starts))
+        event = None  # the deviation of the first event, if it is not the current play's
+        moves = list(situation.moves)
+        for combo in itertools.product(*rows):
+            if not limit:
+                break
+            for v, t in zip(verts, combo):
+                moves[v] = t
+            memo = {}
+            for i in range(limit):
+                value = _walk_rank(g.owner, moves, row, starts[i], memo, by_play)
+                if value is _MIXED or value < cur[i]:
+                    limit, event = i, combo
+                    break
+        if limit == len(starts):
+            continue
+        v = starts[limit]
+        before = effective_cost(game, trace(g, situation, v), player)
+        deviated = situation.replace(dict(zip(verts, event)))
+        after = effective_cost(game, trace(g, deviated, v), player)
+        return VerifyReport(
+            False, player, v, deviated,
+            note=f"player {player} improves {before} -> {after} from {g.name(v)}",
+        )
     return VerifyReport(True, start=start)
-
-
-def _deviations(graph: GameGraph, situation: Situation, player: int, cap) -> list[Situation]:
-    """The situation with each of the player's strategies in place of its own.
-
-    In ``player_strategies`` order; every deviation is written into one
-    ``moves`` list, so no per-strategy map is built.
-    """
-    verts, rows = _own_rows(graph, player, cap)
-    moves = list(situation.moves)
-    deviations = []
-    for combo in itertools.product(*rows):
-        for v, t in zip(verts, combo):
-            moves[v] = t
-        deviations.append(Situation(tuple(moves)))
-    return deviations

@@ -144,6 +144,44 @@ def _sp_rank(row, play: Play, player: int) -> tuple[int, int]:
     return 0, sum(map(cost, zip(play.prefix, play.prefix[1:])))
 
 
+_MIXED = object()  # ``_walk_rank``'s value where ``_sp_rank`` raises ZeroSumMixedCycle
+_ON_WALK = object()
+
+
+def _walk_rank(owner, moves, row, start: int, memo: dict, by_play: bool):
+    """The play from ``start`` valued on one player's integer cost row.
+
+    ``_sp_rank``'s ``(rank, total)`` when ``by_play`` (_MIXED where it
+    raises), else ``row[outcome]`` (None for an infinite play). ``memo``
+    holds the values of vertices walked before under the same ``moves`` and
+    row, and gets every vertex this walk passes; on a terminal or all-zero
+    cycle suffix, ``total(v) = row[v, s(v)] + total(s(v))``.
+    """
+    if start in memo:
+        return memo[start]
+    walk, v = [], start
+    while v not in memo and owner[v] is not None:
+        memo[v] = _ON_WALK
+        walk.append(v)
+        v = moves[v]
+    value = memo[v] if v in memo else (0, 0) if by_play else row[v]
+    if value is _ON_WALK and not by_play:  # the walk closed a cycle at v
+        value = row[None]
+    elif value is _ON_WALK:
+        cyc = [row[u, moves[u]] for u in walk[walk.index(v):]]
+        s = sum(cyc)
+        value = ((1 if s > 0 else -1), 0) if s else _MIXED if any(cyc) else (0, 0)
+    if by_play and value is not _MIXED and not value[0]:
+        total = value[1]
+        for u in reversed(walk):
+            total += row[u, moves[u]]
+            memo[u] = (0, total)
+    else:
+        for u in walk:
+            memo[u] = value
+    return memo[start]
+
+
 def terminal_cost(game: TerminalGame, play: Play, player: int) -> Fraction:
     """Effective cost of a play under terminal-game semantics."""
     if play.is_terminal:

@@ -1,14 +1,16 @@
 """Reference copies of the exhaustive oracle's costing loops and scan.
 
-These re-cost every cell and every deviation from scratch, with one
-``effective_cost`` call per player and play and a ``Fraction`` or
+These trace and re-cost every cell and every deviation from scratch, with
+one ``effective_cost`` call per player and play and a ``Fraction`` or
 ``ExtCost`` comparison per deviation, and scan for equilibria by comparing
-costs cell by cell. The library's normal form costs each distinct play
-(shortest path games) or outcome (terminal games) once per call and scans
-on integer ranks, and its deviation check compares plays on the game's
-integer cost table, building exact costs only for a failing report's
-note; tests require both to return identical cells, equilibria and
-reports.
+costs cell by cell. The library's normal form walks the tree of plays from
+its start instead of tracing each cell, costs each distinct play (shortest
+path games) or outcome (terminal games) once per call and scans on integer
+ranks. Its deviation check values every deviation's plays with one memo
+per deviation on the game's integer cost table, deviation by deviation,
+and traces and costs exactly only a failing report's witness; tests
+require both to return identical cells, equilibria, reports and
+exceptions.
 """
 
 from __future__ import annotations

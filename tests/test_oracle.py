@@ -4,6 +4,7 @@ import copy
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -340,24 +341,24 @@ def test_costing_once_matches_the_per_cell_reference():
 
 
 def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
-    # as many traces as the reference; a normal form costs each play or
-    # outcome once, and a deviation check compares plays on the integer cost
-    # table, costing exactly only its failing report's two plays for the note
+    # a normal form traces nothing and costs each distinct play or outcome
+    # once; a passing deviation check values every (start, strategy) pair on
+    # the integer cost table and traces nothing, a failing one traces and
+    # exactly costs only its report's two plays
     real_trace = play.trace
     traces = genutil.count_calls(monkeypatch, play, "trace")
+    walks = genutil.count_calls(monkeypatch, play, "_walk_rank")
     sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
     terminal_costs = genutil.count_calls(monkeypatch, play, "terminal_cost")
-    monkeypatch.setattr(oracle_reference, "trace", oracle.trace)
 
     def counted(run):
-        for calls in (traces, sp_costs, terminal_costs):
+        for calls in (traces, walks, sp_costs, terminal_costs):
             calls.clear()
         result = run()
-        plays = {real_trace(*args) for args in traces}
-        return result, len(traces), len(plays), len(sp_costs), len(terminal_costs)
+        return result, len(traces), len(walks), len(sp_costs), len(terminal_costs)
 
     rng = random.Random(31)
-    passing = terminal_passing = 0
+    passing = failing = terminal_passing = 0
     for k in range(100):
         game = ORACLE_SOURCES[k % 5](rng)
         g = game.graph
@@ -365,12 +366,13 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
             continue
         n = g.n_players
         start = rng.choice(g.nonterminals)
-        nf, cells, plays, sp_n, terminal_n = counted(lambda: oracle.normal_form(game, start))
-        assert cells == len(nf.cells)
+        nf, n_traces, _, sp_n, terminal_n = counted(lambda: oracle.normal_form(game, start))
+        plays = {real_trace(g, nf.situation_at(i, g), start) for i in nf.cells}
+        assert n_traces == 0
         if isinstance(game, SPGame):
-            assert 0 < sp_n <= plays * n and terminal_n == 0
+            assert (sp_n, terminal_n) == (len(plays) * n, 0)
         else:
-            assert 0 < terminal_n <= (len(g.terminals) + 1) * n and sp_n == 0
+            assert (sp_n, terminal_n) == (0, len({p.terminal for p in plays}) * n)
         candidates = [(_random_situation(rng, g), start), (_random_situation(rng, g), None)]
         candidates += [(nf.situation_at(i, g), start) for i in sorted(nf.ne)[:2]]
         if isinstance(game, SPGame):
@@ -380,30 +382,31 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
                 oracle.verify_une(game, s) if where is None
                 else oracle.verify_ne_terminal(game, s, where)
             )
+        per_start = n + sum(len(oracle.player_strategies(g, p)) for p in g.players)
         for situation, where in candidates:
             starts = g.nonterminals if where is None else (where,)
-            report, n_traces, _, sp_n, terminal_n = counted(lambda: verify(situation, where))
-            _, n_reference, *_ = counted(
-                lambda: oracle_reference.verify_exhaustive(game, situation, where)
-            )
-            assert n_traces == n_reference
+            report, n_traces, n_walks, sp_n, terminal_n = counted(lambda: verify(situation, where))
+            assert report == oracle_reference.verify_exhaustive(game, situation, where)
             note_costs = 0 if report.ok else 2
+            assert n_traces == note_costs
             if isinstance(game, SPGame):
                 assert (sp_n, terminal_n) == (note_costs, 0)
             else:
                 assert (sp_n, terminal_n) == (0, note_costs)
             if not report.ok:
+                failing += 1
+                assert n_walks <= len(starts) * per_start
                 continue
             passing += 1
-            per_start = sum(len(oracle.player_strategies(g, p)) for p in g.players)
-            assert n_traces == len(starts) * (1 + per_start)
+            assert n_walks == len(starts) * per_start
             terminal_passing += not isinstance(game, SPGame)
-    assert passing >= 60 and terminal_passing >= 30, (passing, terminal_passing)
+    assert passing >= 60 and terminal_passing >= 30 and failing >= 60, (
+        passing, terminal_passing, failing,
+    )
 
 
-def test_deviations_are_built_once_per_player_not_per_start(monkeypatch):
-    # a passing check builds one situation per strategy of each player and
-    # traces it from every start
+def test_a_check_builds_a_situation_only_for_its_witness(monkeypatch):
+    # a passing check builds no situation; a failing one builds its witness
     built = []
     real_init = Situation.__init__
 
@@ -413,7 +416,7 @@ def test_deviations_are_built_once_per_player_not_per_start(monkeypatch):
 
     monkeypatch.setattr(Situation, "__init__", counting)
     rng = random.Random(37)
-    multi_start = 0
+    multi_start = failing = 0
     for k in range(40):
         if k % 2:
             game = genutil.random_symmetric_terminal(rng, max_v=8, ciw=True)
@@ -421,11 +424,120 @@ def test_deviations_are_built_once_per_player_not_per_start(monkeypatch):
             game = genutil.random_ring_ciw_terminal(rng, max_v=8)
         g = game.graph
         situation = solve_theorem3(game).situation
+        other = _random_situation(rng, g)
         built.clear()
         assert oracle.verify_une(game, situation).ok
-        assert len(built) == sum(len(oracle.player_strategies(g, p)) for p in g.players)
+        assert built == []
+        report = oracle.verify_une(game, other)
+        assert len(built) == (0 if report.ok else 1)
+        failing += not report.ok
         multi_start += len(g.nonterminals) >= 4
-    assert multi_start >= 30, multi_start
+    assert multi_start >= 30 and failing >= 20, (multi_start, failing)
+
+
+def test_the_memoised_walk_values_every_vertex_as_the_play_does():
+    # from every non-terminal, in shuffled order so the memo fills from
+    # different ends: the play's rank, its outcome's entry, or MIXED exactly
+    # where _sp_rank raises
+    rng = random.Random(43)
+    situations = mixed = 0
+    while situations < 360:
+        game = ORACLE_SOURCES[situations % len(ORACLE_SOURCES)](rng)
+        g = game.graph
+        by_play = isinstance(game, SPGame)
+        situation = _random_situation(rng, g)
+        situations += 1
+        for player in g.players:
+            row = game._int_costs[1][player - 1]
+            order = list(g.nonterminals)
+            rng.shuffle(order)
+            memo = {}
+            for v in order:
+                got = play._walk_rank(g.owner, situation.moves, row, v, memo, by_play)
+                walked = trace(g, situation, v)
+                if not by_play:
+                    assert got == row[walked.terminal]
+                    continue
+                try:
+                    expected = play._sp_rank(row, walked, player)
+                except ZeroSumMixedCycle:
+                    expected = play._MIXED
+                    mixed += 1
+                assert got is expected if expected is play._MIXED else got == expected
+    assert mixed >= 20, mixed
+
+
+def _event_order_cases():
+    # (game, situation, start) in which the first event in the order players,
+    # starts, strategies is not the first one a deviation-major scan meets
+    zero = (0, 0)
+    # (a) the current play from start 2 (vertex 2) cycles 2 <-> 4 at 1 - 1,
+    # and player 1's strategy 0 improves from start 1: 1 -> 2 -> 3 costs 2 < 5
+    a = sp_game([1, 1, 1, None, 2], {
+        (0, 3): zero, (1, 2): (1, 0), (1, 3): (5, 0), (2, 3): (1, 0), (2, 4): (1, 0),
+        (4, 2): (-1, 0),
+    }, 2)
+    yield a, Situation((3, 3, 4, None, 2)), None, (1, 1, (3, 2, 3, None, 2))
+    # (b) from start 0, strategy 0 (0 -> 1, 1 -> 2) cycles 1 <-> 2 at 1 - 1
+    # before strategies 2 and 3 (0 -> 3 at 2 < 6) improve
+    b = sp_game([1, 1, 2, None], {
+        (0, 1): (1, 0), (0, 3): (2, 0), (1, 2): (1, 0), (1, 3): (5, 0), (2, 1): (-1, 0),
+    }, 2)
+    yield b, Situation((1, 3, 1, None)), 0, "ZeroSumMixedCycle"
+    yield b, Situation((1, 3, 1, None)), None, "ZeroSumMixedCycle"
+    # (c) strategy 0 (0 -> 2, 1 -> 4, 3 -> 6) cycles 1 <-> 4 from start 1, and
+    # strategy 5 (0 -> 3 -> 7) is the first to improve from start 0
+    c = sp_game([1, 1, None, 1, 2, None, None, None], {
+        (0, 2): (5, 0), (0, 3): (1, 0), (1, 4): (1, 0), (1, 5): (1, 0), (3, 6): (5, 0),
+        (3, 7): (1, 0), (4, 1): (-1, 0),
+    }, 2)
+    yield c, Situation((2, 5, None, 6, 1, None, None, None)), None, (
+        1, 0, (3, 4, None, 7, 1, None, None, None),
+    )
+
+
+@pytest.mark.parametrize("game, situation, where, expected", list(_event_order_cases()))
+def test_the_first_event_in_start_order_wins(game, situation, where, expected):
+    run = lambda: oracle._verify_exhaustive(game, situation, where, None)
+    got = _outcome(run)
+    assert got == _outcome(lambda: oracle_reference.verify_exhaustive(game, situation, where))
+    if isinstance(expected, str):
+        assert got.startswith(expected)
+    else:
+        player, index, moves = expected
+        starts = game.graph.nonterminals if where is None else (where,)
+        assert (got.player, got.start, got.deviation.moves) == (player, starts[index], moves)
+
+
+def test_a_long_forced_play_needs_no_deep_stack():
+    # 3000 single-move vertices in a chain: one situation, walked iteratively
+    n = 3000
+    game = terminal_game([1 + v % 2 for v in range(n)] + [None],
+                         [(v, v + 1) for v in range(n)], {n: (1, 2)}, 2)
+    only = Situation(tuple(range(1, n + 1)) + (None,))
+    assert oracle.normal_form(game, 0).cells == {(0, 0): (Fraction(1), Fraction(2))}
+    assert oracle.find_all_une(game) == [only]
+    assert oracle.verify_une(game, only).ok
+
+
+def test_malformed_situations_are_preconditions(g2, g6s):
+    # g2's moves are 0 -> 1, 0 -> 2, 1 -> 0 and 1 -> 3; 2 and 3 are terminals
+    for situation, message in (
+        (Situation((2, 3, None)), "situation has 3 entries, not 4"),
+        (Situation((3, 2, None, None)), "situation entry 3 at vertex 0 is not a move"),
+        (Situation((None, 2, None, None)), "situation entry None at vertex 0 is not a move"),
+        (Situation((1, 3, None, 0)), "situation entry 0 at vertex 3 is not a move"),
+    ):
+        for run in (
+            lambda: oracle.verify_ne_terminal(g2, situation, 0),
+            lambda: oracle.verify_une(g2, situation),
+        ):
+            with pytest.raises(PreconditionError, match=rf"^{re.escape(message)}$"):
+                run()
+    g = g6s.graph
+    next_id = Situation(tuple(v + 1 if v in g.nonterminals else None for v in range(g.n_vertices)))
+    with pytest.raises(PreconditionError, match="is not a move$"):
+        oracle.verify_ne_sp(g6s, next_id, g.nonterminals[0])
 
 
 _GRID_COSTS = (
