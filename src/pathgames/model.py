@@ -123,8 +123,12 @@ class GameGraph:
 
     @cached_property
     def _edge_symmetric(self) -> bool:
+        """Every move into a non-terminal has its reverse: each non-terminal's
+        in-neighbors are among its out-neighbors (equal rows are the common
+        case)."""
         return all(
-            self.is_terminal(v) or (v, u) in self.edge_set for u, v in self.edge_set
+            self.is_terminal(v) or into == out or set(out).issuperset(into)
+            for v, (out, into) in enumerate(zip(self.out, self._into))
         )
 
     @cached_property
@@ -294,14 +298,24 @@ class TerminalGame:
     def best_terminal(self, v: int) -> int | None:
         """Cheapest terminal move of v's controller, lowest id on ties.
 
-        None when v has no terminal move.
+        None when v has no terminal move, or is a terminal.
         """
-        g = self.graph
-        moves = [w for w in g.out[v] if g.is_terminal(w)]
-        if not moves:
-            return None
-        row = self._int_costs[1][g.owner[v] - 1]
-        return min(moves, key=lambda w: (row[w], w))
+        return self._best_terminals[v]
+
+    @cached_property
+    def _best_terminals(self) -> tuple[int | None, ...]:
+        """Every vertex's ``best_terminal``, from one pass over the ``out``
+        rows; a row is sorted, so a strict improvement keeps the lowest id."""
+        owner, rows = self.graph.owner, self._int_costs[1]
+        best: list[int | None] = [None] * len(owner)
+        for v, out in enumerate(self.graph.out):
+            if owner[v] is None:
+                continue
+            row = rows[owner[v] - 1]
+            for w in out:
+                if owner[w] is None and (best[v] is None or row[w] < row[best[v]]):
+                    best[v] = w
+        return tuple(best)
 
     @cached_property
     def _contraction(self):

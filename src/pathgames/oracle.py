@@ -4,10 +4,12 @@ Everything here is exhaustive, but each distinct play is walked once:
 
 - a normal form walks the tree of plays from its start and costs each
   distinct play (shortest path games) or outcome (terminal games) once;
-- a deviation check values each of a player's strategies from every start
-  with ``play._walk_rank`` on the player's row of the integer cost table,
-  with a memo that lives for that deviation only; only a failing report's
-  witness is traced and costed exactly;
+- a deviation check values each start's current play with
+  ``play._walk_rank`` on the player's row of the integer cost table, and
+  walks the tree of the player's deviation plays once per distinct first
+  branch (the first vertex of a start's current play where the player has
+  a choice), shared by every start that reaches it; only a failing
+  report's witness is traced and costed exactly;
 - the equilibrium scan of a normal form ranks each player's cost once per
   distinct cost vector and takes the line minima on those integer ranks.
 
@@ -24,7 +26,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import and_, eq
+from operator import and_, eq, getitem
 from typing import Iterator, Mapping
 
 from . import graphalg
@@ -39,7 +41,16 @@ from .model import (
     _start_or_initial,
     one_player_out,
 )
-from .play import _MIXED, Play, _sp_rank, _walk_rank, sp_cost, terminal_cost, trace
+from .play import (
+    _MIXED,
+    _ON_WALK,
+    Play,
+    _sp_rank,
+    _walk_rank,
+    sp_cost,
+    terminal_cost,
+    trace,
+)
 
 DEFAULT_CAP = 10**6
 CAP_ENV_VAR = "PATHGAMES_ENUM_CAP"
@@ -357,8 +368,7 @@ def _line_minima(ranks: list[int], n: int, stride: int) -> list[int]:
 def find_all_ne(game: Game, start: int | None = None, cap: int | None = None) -> list[Situation]:
     """Every Nash equilibrium from the given start, by full enumeration."""
     nf = normal_form(game, start, cap)
-    found = [nf.situation_at(index, game.graph) for index in nf.ne]
-    return sorted(found, key=lambda s: s.moves)
+    return _situations_at(game.graph, nf.axes, nf.ne)
 
 
 def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
@@ -371,8 +381,26 @@ def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
         surviving = nf.ne if surviving is None else surviving & nf.ne
         if not surviving:
             return []
-    found = [nf.situation_at(index, g) for index in surviving]
-    return sorted(found, key=lambda s: s.moves)
+    return _situations_at(g, nf.axes, surviving)
+
+
+def _situations_at(graph: GameGraph, axes, indices) -> list[Situation]:
+    """The situations at ``indices`` of a normal form over ``axes``, sorted
+    by their moves.
+
+    Each axis strategy's moves are checked against the edges once, where
+    ``Situation.of`` would check them once per situation.
+    """
+    chain = itertools.chain.from_iterable
+    if not graph.edge_set.issuperset(chain(chain(axes))):
+        bad = next(m for m in chain(chain(axes)) if m not in graph.edge_set)
+        raise PathgamesError(f"chosen move {bad} is not an edge")
+    found = []
+    for index in indices:
+        choice = dict(chain(map(getitem, axes, index)))
+        found.append(tuple(map(choice.get, range(graph.n_vertices))))
+    found.sort()
+    return [Situation(moves) for moves in found]
 
 
 @dataclass(frozen=True)
@@ -447,41 +475,133 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
 
     The witness is the first event in the order players, starts, then the
     player's strategies: a strict improvement on the player's integer cost
-    row, or a play whose value is undefined (``play._MIXED``). Once an
-    event is found at a start, later strategies scan only the starts before
-    it; an undefined current play ends the scan at its start. The witness's
-    exact costing raises ZeroSumMixedCycle for an undefined play.
+    row, or a play whose value is undefined (``play._MIXED``). An undefined
+    current play ends the scan at its start, and its exact costing raises
+    ZeroSumMixedCycle.
+
+    Each start's current play is valued by ``play._walk_rank``. Every
+    deviation from a start follows the same forced moves up to the first
+    vertex where the player has a choice, its first branch ``b``; each
+    distinct ``b`` has one tree of deviation plays (``_deviation_leaves``),
+    shared by all the starts that reach it. Why a start's events are the
+    events of its ``b``'s tree, valued from ``b``: the prefix has no choice,
+    so it adds no cell offset, and it adds the same cost to every finite
+    value, the current one included. A play that closes a cycle into a
+    prefix vertex ``x`` would, valued from ``b``, run forced from ``x`` back
+    to ``b`` and close there: the same cycle, so the same sum and the same
+    mixed verdict; for an all-zero cycle ``x -> b`` costs 0, so the approach
+    cost from the start is the one from ``b`` plus the prefix cost. A
+    start's first event is then the smallest first cell among its tree's
+    events.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
     by_play = isinstance(game, SPGame)
+    moves = situation.moves
     for player in g.players:
         verts, rows = _own_rows(g, player, cap)
         row = game._int_costs[1][player - 1]
         memo: dict = {}
-        cur = [_walk_rank(g.owner, situation.moves, row, v, memo, by_play) for v in starts]
+        cur = [_walk_rank(g.owner, moves, row, v, memo, by_play) for v in starts]
         limit = next((i for i, c in enumerate(cur) if c is _MIXED), len(starts))
-        event = None  # the deviation of the first event, if it is not the current play's
-        moves = list(situation.moves)
-        for combo in itertools.product(*rows):
-            if not limit:
+        stride, step = {}, 1
+        for v, targets in zip(reversed(verts), reversed(rows)):
+            stride[v], step = step, step * len(targets)
+        branch_of: dict = {}
+        first_event: dict = {}  # each distinct first branch to its smallest event cell, or None
+        witness = None
+        for i in range(limit):
+            b = _first_branch(g, player, moves, starts[i], branch_of)
+            if b is None:
+                continue  # the current play is the only one
+            if b not in first_event:
+                now = memo[b]  # b lies on the current play from starts[i]
+                leaves = _deviation_leaves(g, moves, row, player, b, stride, by_play)
+                first_event[b] = min(
+                    (cell for value, cell in leaves if value is _MIXED or value < now), default=None
+                )
+            if first_event[b] is not None:
+                limit, witness = i, first_event[b]
                 break
-            for v, t in zip(verts, combo):
-                moves[v] = t
-            memo = {}
-            for i in range(limit):
-                value = _walk_rank(g.owner, moves, row, starts[i], memo, by_play)
-                if value is _MIXED or value < cur[i]:
-                    limit, event = i, combo
-                    break
         if limit == len(starts):
             continue
         v = starts[limit]
         before = effective_cost(game, trace(g, situation, v), player)
-        deviated = situation.replace(dict(zip(verts, event)))
+        event, cell = {}, witness
+        for u, targets in zip(reversed(verts), reversed(rows)):
+            cell, k = divmod(cell, len(targets))
+            event[u] = targets[k]
+        deviated = situation.replace(event)
         after = effective_cost(game, trace(g, deviated, v), player)
         return VerifyReport(
             False, player, v, deviated,
             note=f"player {player} improves {before} -> {after} from {g.name(v)}",
         )
     return VerifyReport(True, start=start)
+
+
+def _first_branch(g: GameGraph, player: int, moves, start: int, memo: dict) -> int | None:
+    """The first vertex on the play from ``start`` where ``player`` has a
+    choice, or None if the play reaches a terminal or closes a cycle first.
+
+    ``memo`` holds the answers for vertices walked before under the same
+    ``moves`` and player, and gets every vertex this walk passes.
+    """
+    out, owner = g.out, g.owner
+    walk, v = [], start
+    while v not in memo:
+        if owner[v] is None or (owner[v] == player and len(out[v]) > 1):
+            branch = None if owner[v] is None else v
+            break
+        memo[v] = _ON_WALK
+        walk.append(v)
+        v = moves[v]
+    else:
+        branch = memo[v]
+        if branch is _ON_WALK:  # the forced play closed a cycle
+            branch = None
+    for u in walk:
+        memo[u] = branch
+    return branch
+
+
+def _deviation_leaves(
+    g: GameGraph, moves, row, player: int, root: int, stride, by_play: bool
+) -> list:
+    """``(value, first cell)`` of each distinct play from ``root`` as
+    ``player`` deviates and everyone else keeps ``moves``.
+
+    The walk branches over ``g.out[v]`` at the player's vertices and follows
+    ``moves[v]`` elsewhere; a leaf is a terminal or a repeated vertex. Its
+    value is ``_walk_rank``'s from ``root`` on the player's ``row``
+    (``by_play`` as there). Its first cell is ``sum(pos_v * stride[v])``
+    over the player's vertices on the walk, the first of its strategies in
+    ``itertools.product`` order. An explicit stack keeps long plays off the
+    interpreter's.
+    """
+    out, owner = g.out, g.owner
+    leaves = []
+    on_walk: dict = {}  # the walk in order, each vertex to its cost and nonzero moves from root
+    todo = [(root, 0, 0, 0, 0)]  # a vertex to enter, its depth, first cell, cost, nonzero moves
+    while todo:
+        v, depth, first, total, nonzero = todo.pop()
+        while len(on_walk) > depth:
+            on_walk.popitem()
+        on_walk[v] = total, nonzero
+        targets, step = (out[v], stride[v]) if owner[v] == player else ((moves[v],), 0)
+        for i, w in enumerate(targets):
+            c = row[v, w] if by_play else 0
+            if owner[w] is None:
+                value = (0, total + c) if by_play else row[w]
+            elif w not in on_walk:
+                todo.append((w, depth + 1, first + i * step, total + c, nonzero + (c != 0)))
+                continue
+            elif by_play:  # the cycle from w back to w
+                at, nonzero_at = on_walk[w]
+                s = total + c - at
+                mixed = nonzero + (c != 0) > nonzero_at
+                value = ((1 if s > 0 else -1), 0) if s else _MIXED if mixed else (0, at)
+            else:
+                value = row[None]
+            leaves.append((value, first + i * step))
+    return leaves

@@ -6,11 +6,11 @@ one ``effective_cost`` call per player and play and a ``Fraction`` or
 costs cell by cell. The library's normal form walks the tree of plays from
 its start instead of tracing each cell, costs each distinct play (shortest
 path games) or outcome (terminal games) once per call and scans on integer
-ranks. Its deviation check values every deviation's plays with one memo
-per deviation on the game's integer cost table, deviation by deviation,
-and traces and costs exactly only a failing report's witness; tests
-require both to return identical cells, equilibria, reports and
-exceptions.
+ranks. Its deviation check walks each player's tree of deviation plays
+once per distinct first branch on the game's integer cost table, shared
+by every start that reaches it, and traces and costs exactly only a
+failing report's witness; tests require both to return identical cells,
+equilibria, reports and exceptions.
 """
 
 from __future__ import annotations

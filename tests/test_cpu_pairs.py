@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,14 +47,38 @@ def test_opcode_counts_of_one_checkout_are_equal_in_two_runs():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[0].startswith("crosscheck-small, seed 0, 4 games, bytecode instructions per op")
-    rows = [line.split() for line in lines[1:-1]]
+    top = lines.index("top 15 functions (file:function:line), bytecode instructions per op:")
+    rows = [line.split() for line in lines[1:top]]
     names = [row[0] for row in rows]
     assert names[:5] == ["total:", "sp:", "terminal:", "ciw:", "ring:"]
     assert {"play.py:", "une.py:", "oracle.py:"} <= set(names[5:])
-    for row in rows:
+    functions = [line.split() for line in lines[top + 1:-1]]
+    assert len(functions) == 15
+    assert all(re.fullmatch(r"[^:\s]+:[\w.<>]+:\d+:", row[0]) for row in functions)
+    assert any(row[0].startswith("oracle.py:") for row in functions)
+    counts = [int(row[2]) for row in functions]
+    assert counts == sorted(counts, reverse=True)
+    for row in rows + functions:
         assert row[1::2] == ["parent", "change", "ratio"]
         assert row[2] == row[4] and int(row[2]) > 0 and row[6] == "1.000"
     assert lines[-1] == "outputs identical"
+
+
+def test_functions_are_matched_across_checkouts_by_file_and_name(capsys):
+    # ranked by the larger side's count; the line is the change's, else the parent's
+    tool = _load_tool()
+    parent = {"opcodes_per_op": {"total": 10.0},
+              "functions": {"a.py:f": [6.0, 3], "a.py:g": [4.0, 9]}}
+    change = {"opcodes_per_op": {"total": 5.0},
+              "functions": {"a.py:f": [3.0, 5], "b.py:C.h": [2.0, 1]}}
+    tool.report_opcodes(parent, change, argparse.Namespace(workload="w", seed=0, games=1))
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  total: parent 10  change 5  ratio 0.500",
+        "top 3 functions (file:function:line), bytecode instructions per op:",
+        "  a.py:f:5: parent 6  change 3  ratio 0.500",
+        "  a.py:g:9: parent 4  change 0  ratio 0.000",
+        "  b.py:C.h:1: parent 0  change 2  ratio -",
+    ]
 
 
 def test_differing_outputs_exit_1(monkeypatch, capsys):

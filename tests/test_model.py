@@ -127,6 +127,51 @@ def test_edge_symmetry_is_computed_once_per_graph():
             assert scans == []
 
 
+def test_edge_symmetry_reads_rows_as_the_per_edge_definition():
+    # hand-built graphs with self-loops, duplicate edges and terminals that
+    # have out-edges: in-neighbors among out-neighbors at every non-terminal
+    # iff every move into a non-terminal has its reverse
+    rng = random.Random(16)
+    seen = {True: 0, False: 0}
+    for _ in range(600):
+        n = rng.randint(1, 7)
+        owner = tuple(rng.choice((None, 1, 2)) for _ in range(n))
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 12))]
+        if rng.random() < 0.5:  # complete some reverses, so both answers occur
+            edges += [(v, u) for u, v in edges if rng.random() < 0.9]
+        edges += rng.sample(edges, min(len(edges), 2))  # duplicates
+        graph = GameGraph(owner, tuple(edges), 2)
+        expected = all(owner[v] is None or (v, u) in edges for u, v in edges)
+        assert is_edge_symmetric(graph) is expected, (owner, edges)
+        seen[expected] += 1
+    loops = GameGraph((1, None), ((0, 0), (0, 0), (1, 0), (0, 1)), 1)
+    assert is_edge_symmetric(loops)
+    assert not is_edge_symmetric(GameGraph((1, None, 1), ((1, 0), (1, 2), (2, 2)), 1))
+    assert seen[True] >= 150 and seen[False] >= 150, seen
+
+
+def test_best_terminal_table_matches_the_scan_of_each_row():
+    # cheapest terminal move for the vertex's owner, lowest id on ties
+    rng = random.Random(18)
+    ties = 0
+    for _ in range(200):
+        n = rng.randint(2, 9)
+        owner = [rng.choice((None, 1, 2)) for _ in range(n)]
+        edges = {(u, rng.randrange(n)) for u in range(n) if owner[u] for _ in range(4)}
+        costs = {t: (rng.randint(-1, 0), rng.randint(-1, 0)) for t in range(n) if not owner[t]}
+        game = terminal_game(owner, sorted(edges), costs, 2)
+        g = game.graph
+        for v in range(n):
+            moves = [w for w in g.out[v] if g.is_terminal(w)]
+            if g.is_terminal(v) or not moves:
+                assert game.best_terminal(v) is None
+                continue
+            row = game._int_costs[1][g.owner[v] - 1]
+            assert game.best_terminal(v) == min(moves, key=lambda w: (row[w], w))
+            ties += len({row[w] for w in moves}) < len(moves)
+    assert ties >= 50, ties
+
+
 def test_edge_positivity_on_ints_and_fractions():
     for costs, positive in (
         ((1, Fraction(1, 7)), True),

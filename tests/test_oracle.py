@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import genutil
 import oracle_reference
 from pathgames import oracle, play
-from pathgames.errors import PreconditionError, TooLarge, ZeroSumMixedCycle
+from pathgames.errors import PathgamesError, PreconditionError, TooLarge, ZeroSumMixedCycle
 from pathgames.model import ExtCost, SPGame, Situation, sp_game, terminal_game
 from pathgames.play import trace
 from pathgames.spne import solve_theorem1
@@ -192,6 +193,34 @@ def test_find_all_ne_agrees_with_verify():
     assert checked_games >= 5
 
 
+def test_equilibrium_situations_equal_the_per_cell_route(g2):
+    # find_all_ne and find_all_une fill one moves tuple per cell; the lists
+    # equal sorting one Situation.of per cell
+    rng = random.Random(53)
+    checked = found = 0
+    for k in range(120):
+        game = ORACLE_SOURCES[k % 5](rng)
+        g = game.graph
+        if oracle.situation_count(g) > 2000:
+            continue
+        start = rng.choice(g.nonterminals)
+        nf = oracle.normal_form(game, start)
+        expected = sorted((nf.situation_at(i, g) for i in nf.ne), key=lambda s: s.moves)
+        assert oracle.find_all_ne(game, start) == expected
+        uniform = set.intersection(*(
+            set(oracle.normal_form(game, v).ne) for v in g.nonterminals
+        ))
+        expected = sorted((nf.situation_at(i, g) for i in uniform), key=lambda s: s.moves)
+        assert oracle.find_all_une(game) == expected
+        checked += 1
+        found += len(expected)
+    assert checked >= 100 and found >= 500, (checked, found)
+    # the edge check stays: an axis strategy that is not a move is an error
+    axes = ((((0, 3),),), (((1, 3),),))  # one strategy per player; 0 -> 3 is no move of g2
+    with pytest.raises(PathgamesError, match=r"chosen move \(0, 3\) is not an edge"):
+        oracle._situations_at(g2.graph, axes, [(0, 0)])
+
+
 def test_normal_form_csv_and_text(fig1_pm):
     nf = oracle.normal_form(fig1_pm)
     csv = nf.to_csv(fig1_pm.graph)
@@ -340,25 +369,59 @@ def test_costing_once_matches_the_per_cell_reference():
     assert failing >= 100 and undefined >= 10, (failing, undefined)
 
 
+def _deviation_trees(g, situation, starts):
+    """``(player, first branch, distinct deviation plays)`` per player and
+    each distinct first branch of the starts, in start order, by tracing
+    every strategy of the player from it."""
+    owner, moves = g.owner, situation.moves
+    trees = []
+    for p in g.players:
+        branches = {}
+        for v in starts:
+            seen = set()
+            while owner[v] is not None and v not in seen:
+                if owner[v] == p and len(g.out[v]) > 1:
+                    branches[v] = None
+                    break
+                seen.add(v)
+                v = moves[v]
+        for b in branches:
+            plays = {trace(g, situation.replace(s), b) for s in oracle.player_strategies(g, p)}
+            trees.append((p, b, len(plays)))
+    return trees
+
+
 def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
     # a normal form traces nothing and costs each distinct play or outcome
-    # once; a passing deviation check values every (start, strategy) pair on
-    # the integer cost table and traces nothing, a failing one traces and
-    # exactly costs only its report's two plays
+    # once; a passing deviation check traces nothing, values each start's
+    # current play once per player, and walks one tree per player and
+    # distinct first branch (the first vertex of a start's current play
+    # where the player has a choice) with one leaf per distinct deviation
+    # play from it; a failing one traces and exactly costs only its
+    # report's two plays
     real_trace = play.trace
+    real_leaves = oracle._deviation_leaves
     traces = genutil.count_calls(monkeypatch, play, "trace")
     walks = genutil.count_calls(monkeypatch, play, "_walk_rank")
     sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
     terminal_costs = genutil.count_calls(monkeypatch, play, "terminal_cost")
+    trees = []
+
+    def leaves(g, moves, row, player, root, *rest):
+        found = real_leaves(g, moves, row, player, root, *rest)
+        trees.append((player, root, len(found)))
+        return found
+
+    monkeypatch.setattr(oracle, "_deviation_leaves", leaves)
 
     def counted(run):
-        for calls in (traces, walks, sp_costs, terminal_costs):
+        for calls in (traces, walks, sp_costs, terminal_costs, trees):
             calls.clear()
         result = run()
         return result, len(traces), len(walks), len(sp_costs), len(terminal_costs)
 
     rng = random.Random(31)
-    passing = failing = terminal_passing = 0
+    passing = failing = terminal_passing = shared = 0
     for k in range(100):
         game = ORACLE_SOURCES[k % 5](rng)
         g = game.graph
@@ -382,7 +445,6 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
                 oracle.verify_une(game, s) if where is None
                 else oracle.verify_ne_terminal(game, s, where)
             )
-        per_start = n + sum(len(oracle.player_strategies(g, p)) for p in g.players)
         for situation, where in candidates:
             starts = g.nonterminals if where is None else (where,)
             report, n_traces, n_walks, sp_n, terminal_n = counted(lambda: verify(situation, where))
@@ -393,16 +455,88 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
                 assert (sp_n, terminal_n) == (note_costs, 0)
             else:
                 assert (sp_n, terminal_n) == (0, note_costs)
+            expected = _deviation_trees(g, situation, starts)
             if not report.ok:
                 failing += 1
-                assert n_walks <= len(starts) * per_start
+                assert n_walks <= len(starts) * report.player
+                assert set(trees) <= set(expected)
                 continue
             passing += 1
-            assert n_walks == len(starts) * per_start
+            assert n_walks == len(starts) * n
+            assert trees == expected
+            shared += len(expected) < len(starts) * n
             terminal_passing += not isinstance(game, SPGame)
-    assert passing >= 60 and terminal_passing >= 30 and failing >= 60, (
-        passing, terminal_passing, failing,
+    assert passing >= 60 and terminal_passing >= 30 and failing >= 60 and shared >= 100, (
+        passing, terminal_passing, failing, shared,
     )
+
+
+def _forced_prefix_sp(rng):
+    """SP game whose forced chain 0 -> 1 -> ... leads to hubs with choices,
+    and the chain's length;
+    hubs move back into the chain, to each other or to terminals, at costs
+    in {-1, 0, 0, 1}: zero-cost moves, long forced prefixes, and cycles
+    that close into a prefix."""
+    chain, hubs, n_players = rng.randint(1, 5), rng.randint(1, 3), rng.randint(1, 3)
+    terminals = rng.randint(1, 2)
+    n = chain + hubs + terminals
+    owner = [rng.randint(1, n_players) for _ in range(chain + hubs)] + [None] * terminals
+    edges = {(v, v + 1) for v in range(chain)}
+    for h in range(chain, chain + hubs):
+        others = [w for w in range(n) if w != h]
+        edges |= {(h, w) for w in rng.sample(others, min(len(others), rng.randint(1, 3)))}
+    cost = {e: tuple(rng.choice((-1, 0, 0, 1)) for _ in range(n_players)) for e in edges}
+    return sp_game(owner, cost, n_players), chain
+
+
+def test_shared_deviation_trees_match_the_reference_on_forced_prefixes():
+    # each start's events are its first branch's, valued from there: the
+    # reports and ZeroSumMixedCycle messages equal the per-start reference
+    rng = random.Random(47)
+    failing = undefined = into_prefix = 0
+    for _ in range(400):
+        game, chain = _forced_prefix_sp(rng)
+        g = game.graph
+        situation = _random_situation(rng, g)
+        into_prefix += any(w < chain for v in g.nonterminals[chain:] for w in g.out[v])
+        for where in (0, rng.choice(g.nonterminals), None):
+            got = _outcome(lambda: oracle._verify_exhaustive(game, situation, where, None))
+            assert got == _outcome(
+                lambda: oracle_reference.verify_exhaustive(game, situation, where)
+            ), (game, situation, where)
+            failing += not isinstance(got, str) and not got.ok
+            undefined += isinstance(got, str)
+    assert failing >= 250 and undefined >= 200 and into_prefix >= 300, (
+        failing, undefined, into_prefix,
+    )
+
+
+def test_deviation_checks_walk_a_forced_chain_in_linear_work():
+    # a chain of n single-move vertices ending at one vertex with a choice:
+    # every start shares that vertex's one tree, and the forced walks share
+    # one memo, so the interpreted lines grow linearly with n
+    def lines(n):
+        owner = [1 + v % 2 for v in range(n)] + [1, None, None]
+        edges = [(v, v + 1) for v in range(n)] + [(n, n + 1), (n, n + 2)]
+        game = terminal_game(owner, edges, {n + 1: (1, 1), n + 2: (2, 2)}, 2)
+        best = Situation(tuple(range(1, n + 1)) + (n + 1, None, None))
+        count = [0]
+
+        def tracer(frame, event, arg):
+            if frame.f_code.co_filename in (oracle.__file__, play.__file__):
+                count[0] += 1
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            report = oracle.verify_une(game, best)
+        finally:
+            sys.settrace(None)
+        assert report.ok
+        return count[0]
+
+    small, large = lines(1500), lines(3000)
+    assert large < 2.5 * small, (small, large)
 
 
 def test_a_check_builds_a_situation_only_for_its_witness(monkeypatch):

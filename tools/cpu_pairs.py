@@ -17,8 +17,13 @@ With ``--opcodes``, one worker per checkout runs one op to warm up, then
 counts the Python bytecode instructions executed (``sys.settrace`` with
 ``frame.f_trace_opcodes``) over the seed's first ``--games`` ops, in total,
 per game family for ``crosscheck-small``, and per module of
-``src/pathgames`` (by ``co_filename``); ``--passes`` and ``--rounds`` do
-not apply. The count is deterministic, so one run per
+``src/pathgames`` (by ``co_filename``), then lists the 15 functions of any
+module with the most, ranked by the larger of the two checkouts' counts.
+A function is matched across checkouts by file and qualified name (code
+objects sharing both, such as two lambdas in one function, are summed) and
+printed as ``file:function:line`` with its first line in the change, or in
+the parent if the change lacks it. ``--passes`` and ``--rounds`` do not
+apply. The count is deterministic, so one run per
 checkout is enough, but it is not a time: only bytecode is counted, not the
 work of C code (sorts, ``heapq``, dict and set building, big-int
 arithmetic), and counts differ between interpreter versions, so the report
@@ -82,17 +87,17 @@ def worker(checkout: Path, workload_name: str, seed: int, games: int, passes: in
 
 
 def opcode_worker(checkout: Path, workload_name: str, seed: int, games: int) -> dict:
-    """Bytecode instructions executed per op: in total, per family and per
-    library module."""
+    """Bytecode instructions executed per op: in total, per family, per
+    library module and per function."""
     workloads, workload, pg, pool, family_of = _setup(checkout, workload_name, seed, games)
     package = Path(pg.model.__file__).parent
     workload.op(pg, pool[0])  # warm-up: lazy imports and per-process caches
-    by_file: Counter[str] = Counter()
+    by_code: Counter = Counter()
     by_family: Counter[str] = Counter()
 
     def opcode(frame, event, arg):
         if event == "opcode":
-            by_file[frame.f_code.co_filename] += 1
+            by_code[frame.f_code] += 1
         return opcode
 
     def call(frame, event, arg):
@@ -102,14 +107,21 @@ def opcode_worker(checkout: Path, workload_name: str, seed: int, games: int) -> 
 
     digests = []
     for item, family in zip(pool, family_of):
-        before = sum(by_file.values())
+        before = sum(by_code.values())
         sys.settrace(call)
         try:
             out = workload.op(pg, item)
         finally:
             sys.settrace(None)
-        by_family[family] += sum(by_file.values()) - before
+        by_family[family] += sum(by_code.values()) - before
         digests.append(workloads.digest(workload.key(out)))
+    by_file: Counter[str] = Counter()
+    functions: dict[str, list] = {}  # file:function -> [count, first line]
+    for code, n in by_code.items():
+        by_file[code.co_filename] += n
+        name = f"{Path(code.co_filename).name}:{getattr(code, 'co_qualname', code.co_name)}"
+        count, line = functions.get(name, (0, code.co_firstlineno))
+        functions[name] = [count + n / len(pool), min(line, code.co_firstlineno)]
     per_op = {"total": sum(by_file.values()) / len(pool)}
     for family, n in by_family.items():
         if family != "all":
@@ -117,7 +129,11 @@ def opcode_worker(checkout: Path, workload_name: str, seed: int, games: int) -> 
     for name, n in sorted(by_file.items()):
         if Path(name).parent == package:
             per_op[Path(name).name] = n / len(pool)
-    return {"opcodes_per_op": per_op, "digest": workloads.digest(tuple(digests))}
+    return {
+        "opcodes_per_op": per_op,
+        "functions": functions,
+        "digest": workloads.digest(tuple(digests)),
+    }
 
 
 def run_worker(checkout: Path, args) -> dict:
@@ -189,14 +205,23 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def report_opcodes(parent: dict, change: dict, args) -> None:
-    parent, change = parent["opcodes_per_op"], change["opcodes_per_op"]
     version = sys.version.replace("\n", " ")
     print(f"{args.workload}, seed {args.seed}, {args.games} games, "
           f"bytecode instructions per op on Python {version}:")
-    for name in list(parent) + [name for name in change if name not in parent]:
-        p, c = parent.get(name, 0), change.get(name, 0)
-        ratio = f"{c / p:.3f}" if p else "-"
-        print(f"  {name}: parent {p:.0f}  change {c:.0f}  ratio {ratio}")
+    parent_ops, change_ops = parent["opcodes_per_op"], change["opcodes_per_op"]
+    for name in list(parent_ops) + [name for name in change_ops if name not in parent_ops]:
+        print_row(name, parent_ops.get(name, 0), change_ops.get(name, 0))
+    functions = {**parent["functions"], **change["functions"]}  # the change's line wins
+    counts = [{name: n for name, (n, _) in side["functions"].items()} for side in (parent, change)]
+    top = sorted(functions, key=lambda name: (-max(c.get(name, 0) for c in counts), name))[:15]
+    print(f"top {len(top)} functions (file:function:line), bytecode instructions per op:")
+    for name in top:
+        print_row(f"{name}:{functions[name][1]}", *(c.get(name, 0) for c in counts))
+
+
+def print_row(name: str, p: float, c: float) -> None:
+    ratio = f"{c / p:.3f}" if p else "-"
+    print(f"  {name}: parent {p:.0f}  change {c:.0f}  ratio {ratio}")
 
 
 def check_digests(results: Iterable[dict]) -> int:
