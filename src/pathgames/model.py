@@ -126,9 +126,9 @@ class GameGraph:
         """Every move into a non-terminal has its reverse: each non-terminal's
         in-neighbors are among its out-neighbors (equal rows are the common
         case)."""
+        out, into = self.out, self._into
         return all(
-            self.is_terminal(v) or into == out or set(out).issuperset(into)
-            for v, (out, into) in enumerate(zip(self.out, self._into))
+            into[v] == out[v] or set(out[v]).issuperset(into[v]) for v in self.nonterminals
         )
 
     @cached_property
@@ -140,6 +140,13 @@ class GameGraph:
             for w in row:
                 rows[w].append(v)
         return tuple([tuple(row) for row in rows])
+
+    @cached_property
+    def _toward_terminals(self) -> dict[int, int]:
+        """The reverse search toward the terminals (``graphalg.tree_toward``)
+        joining every vertex, run once per graph; a caller that edits it
+        copies it."""
+        return graphalg.tree_toward(self._into, self.terminals, range(self.n_vertices))
 
     @cached_property
     def _player_components(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:

@@ -2,16 +2,18 @@
 
 Everything here is exhaustive, but each distinct play is walked once:
 
-- a normal form walks the tree of plays from its start and costs each
-  distinct play (shortest path games) or outcome (terminal games) once;
+- a normal form walks the tree of plays from its start and values each
+  distinct play on the game's integer cost table as it reaches it; only
+  ``normal_form`` turns the values into exact cost cells, and the
+  equilibrium searches build none;
 - a deviation check values each start's current play with
   ``play._walk_rank`` on the player's row of the integer cost table, and
   walks the tree of the player's deviation plays once per distinct first
   branch (the first vertex of a start's current play where the player has
   a choice), shared by every start that reaches it; only a failing
   report's witness is traced and costed exactly;
-- the equilibrium scan of a normal form ranks each player's cost once per
-  distinct cost vector and takes the line minima on those integer ranks.
+- the equilibrium scan ranks each player's values once per play and takes
+  the line minima on those integer ranks.
 
 The enumeration cap (default 10**6, overridable via the PATHGAMES_ENUM_CAP
 environment variable or per call; a negative cap is a precondition error)
@@ -26,12 +28,15 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import and_, eq, getitem
+from operator import add, and_, eq, getitem, gt, itemgetter, sub
 from typing import Iterator, Mapping
 
 from . import graphalg
-from .errors import PathgamesError, PreconditionError, TooLarge
+from .errors import PathgamesError, PreconditionError, TooLarge, ZeroSumMixedCycle
 from .model import (
+    MINUS_INF,
+    PLUS_INF,
+    ExtCost,
     Game,
     GameGraph,
     SPGame,
@@ -44,7 +49,6 @@ from .model import (
 from .play import (
     _MIXED,
     _ON_WALK,
-    Play,
     _sp_rank,
     _walk_rank,
     sp_cost,
@@ -129,9 +133,9 @@ def player_strategies(
 def effective_cost(game: Game, play, player: int):
     """A play's exact cost for one player under the game's semantics.
 
-    Shortest path games yield ExtCost, terminal games plain Fraction.
-    ``normal_form`` keeps these in its cells; the deviation checks compare
-    on the integer cost table and call this only for a failing report.
+    Shortest path games yield ExtCost, terminal games plain Fraction. The
+    oracle compares plays on the integer cost table and calls this only for
+    a failing report's note; ``normal_form``'s cells hold the same values.
     """
     if isinstance(game, SPGame):
         return sp_cost(game, play, player)
@@ -163,8 +167,8 @@ class NormalForm:
 
     ``axes[i]`` lists player i+1's strategies as sorted (vertex, target)
     tuples; ``cells`` maps a strategy index per player to the per-player cost
-    vector; ``ne`` holds the indices that are unilaterally minimal for every
-    player at once.
+    vector, each cost as ``effective_cost`` gives it; ``ne`` holds the
+    indices that are unilaterally minimal for every player at once.
     """
 
     start: int
@@ -238,102 +242,134 @@ class NormalForm:
 
 def normal_form(game: Game, start: int | None = None, cap: int | None = None) -> NormalForm:
     """Every situation's cost vector from ``start``, and the equilibria."""
-    return next(_normal_forms(game, (_require_start(game, start),), cap))
+    start = _require_start(game, start)
+    axes, walked = _walked(game, (start,), cap)
+    flat, values, ne = next(walked)
+    scale, infinite = game._int_costs[0], {1: PLUS_INF, -1: MINUS_INF}
+    if isinstance(game, SPGame):  # effective_cost's values, sp_cost's constants shared
+        exact = lambda v: infinite[v[0]] if v[0] else ExtCost(0, Fraction(v[1], scale))
+    else:
+        exact = lambda v: Fraction(v, scale)
+    vectors = [tuple(map(exact, vector)) for vector in values]
+    grid = itertools.product(*map(range, map(len, axes)))
+    cells = dict(zip(grid, map(vectors.__getitem__, flat)))
+    return NormalForm(start=start, axes=axes, cells=cells, ne=ne)
 
 
-def _normal_forms(game: Game, starts, cap) -> Iterator[NormalForm]:
-    """The normal form from each start in turn; the axes are built once.
-
-    The cells are costed in the order of each play's first cell, once per
-    distinct play (shortest path games) or outcome (terminal games).
-    """
+def _walked(game: Game, starts, cap) -> tuple[tuple, Iterator[tuple]]:
+    """The axes, built once, and each start's ``_play_tree`` and equilibria
+    ``(flat, values, ne)`` in turn."""
     g = game.graph
     count = situation_count(g)
     limit = _within_cap(count, cap)
     axes = tuple(
-        tuple(tuple(sorted(s.items())) for s in player_strategies(g, p, cap=limit))
-        for p in g.players
+        tuple(tuple(s.items()) for s in player_strategies(g, p, cap=limit)) for p in g.players
     )
     shape = [len(a) for a in axes]
     # the cells' mixed radix: the vertices with a choice by player, then id
     branching = [v for v in sorted(g.nonterminals, key=g.owner.__getitem__) if len(g.out[v]) > 1]
     stride = {v: prod(len(g.out[u]) for u in branching[i + 1:]) for i, v in enumerate(branching)}
-    by_play = isinstance(game, SPGame)
-    for start in starts:
-        flat, plays = _play_tree(g, start, count, branching, stride)
-        vectors: dict = {}
-        for leaf in dict.fromkeys(flat):
-            key = leaf if by_play else plays[leaf].terminal
-            if key not in vectors:
-                vectors[key] = tuple(effective_cost(game, plays[leaf], p) for p in g.players)
-            plays[leaf] = vectors[key]
-        flat = list(map(plays.__getitem__, flat))
-        cells = dict(zip(itertools.product(*map(range, shape)), flat))
-        yield NormalForm(start=start, axes=axes, cells=cells, ne=_ne_indices(shape, flat))
+    offsets = {v: range(0, len(g.out[v]) * step, step) for v, step in stride.items()}
+    by_play, rows = isinstance(game, SPGame), game._int_costs[1]
+    keys = list(rows[0])  # the moves, or a terminal game's outcomes
+    columns = [list(map(row.__getitem__, keys)) for row in rows]
+    if by_play:  # then whether each move's cost is nonzero
+        columns += [list(map(bool, column)) for column in columns]
+    table = dict(zip(keys, zip(*columns)))
+
+    def walked():
+        for start in starts:
+            flat, values = _play_tree(g, start, count, offsets, table, by_play)
+            yield flat, values, _ne_indices(shape, flat, values)
+
+    return axes, walked()
 
 
-def _play_tree(g: GameGraph, start: int, count: int, branching, stride) -> tuple[list, list]:
-    """Each situation's play number from ``start``, and the distinct plays.
+def _play_tree(g: GameGraph, start: int, count: int, offsets, table, by_play: bool):
+    """Each situation's leaf from ``start``, and each leaf's value vector.
 
     The walk branches over ``g.out[v]`` at each vertex not yet on it. A leaf
     (a terminal or a repeated vertex) is one play; its situations are the
-    sub-box of cells ``sum(pos_v * stride[v])`` that agree with its moves.
-    An explicit stack keeps long plays off the interpreter's.
+    sub-box of cells ``sum(offsets[v][pos_v])`` that agree with its moves,
+    the smallest its first cell. An explicit stack keeps long plays off the
+    interpreter's.
+
+    The leaf rule, which ``_deviation_leaves`` follows too, is
+    ``play._sp_rank`` on a player's integer cost row: the walk keeps, per
+    vertex, the running total and count of nonzero moves. A terminal leaf
+    is ``(0, total)``. A cycle closing at ``w`` with sum ``s = total -
+    total(w)`` is ``(1, 0)`` or ``(-1, 0)`` by its sign, else ``_MIXED`` if
+    the count grew since ``w``, else ``(0, total(w))``. Terminal games take
+    ``row[t]``, or ``row[None]`` for a cycle. After the walk, the ``_MIXED``
+    leaf with the smallest first cell raises ZeroSumMixedCycle for its
+    lowest such player, as costing the leaves in cell order would.
     """
     out, owner = g.out, g.owner
-    flat, plays = [0] * count, []
-    on_walk: dict[int, int] = {}  # the walk in order, each vertex to its depth
-    todo = [(start, 0, 0)] if count else []  # a vertex to enter, its depth, its first cell
+    n = g.n_players
+    finite = (0,) * n
+    flat, values = [0] * count, []
+    mixed = None  # (first cell, player, cycle) of the _MIXED leaf first in cell order
+    on_walk: dict = {}  # the walk in order, each vertex to its totals and nonzero counts
+    sums = finite * 2 if by_play else ()
+    todo = [(start, 0, 0, sums)] if count else []  # a vertex to enter, its depth, first cell, sums
     while todo:
-        v, depth, base = todo.pop()
+        v, depth, base, sums = todo.pop()
         while len(on_walk) > depth:
             on_walk.popitem()
-        on_walk[v] = depth
+        on_walk[v] = sums
+        offset = offsets.get(v, (0,))
         for i, w in enumerate(out[v]):
-            first = base + i * stride.get(v, 0)
+            first = base + offset[i]
+            here = tuple(map(add, sums, table[v, w])) if by_play else sums
             if owner[w] is not None and w not in on_walk:
-                todo.append((w, depth + 1, first))
+                todo.append((w, depth + 1, first, here))
                 continue
-            walk, k = tuple(on_walk), on_walk.get(w)
-            plays.append(Play(walk, w) if k is None else Play(walk[: k + 1], cycle=walk[k:]))
+            if not by_play:
+                value = table[w if owner[w] is None else None]
+            elif owner[w] is None:
+                value = tuple(zip(finite, here))
+            else:  # the cycle from w back to w
+                at = on_walk[w]
+                value = tuple(
+                    ((1 if s > 0 else -1), 0) if s else _MIXED if grew else (0, a)
+                    for s, grew, a in zip(map(sub, here, at), map(gt, here[n:], at[n:]), at))
+                if _MIXED in value and (mixed is None or first < mixed[0]):
+                    walk = tuple(on_walk)
+                    mixed = first, value.index(_MIXED) + 1, walk[walk.index(w):]
+            leaf = len(values)
+            values.append(value)
             box = [first]
-            for u in branching:
+            for u, moves in offsets.items():
                 if u not in on_walk:
-                    box = [c + j * stride[u] for j in range(len(out[u])) for c in box]
+                    box = [c + o for o in moves for c in box]
             for c in box:
-                flat[c] = len(plays) - 1
-    return flat, plays
+                flat[c] = leaf
+    if mixed:
+        raise ZeroSumMixedCycle(*mixed[1:])
+    return flat, values
 
 
-def _ne_indices(shape, flat) -> frozenset[tuple[int, ...]]:
-    """Indices of the cells whose cost is minimal on every player's line.
+def _ne_indices(shape, flat, values) -> frozenset[tuple[int, ...]]:
+    """Indices of the cells whose value is minimal on every player's line.
 
-    ``flat`` lists the cost vectors in ``itertools.product`` order over
+    ``flat`` lists each cell's leaf in ``itertools.product`` order over
     ``shape``, so the cell at index ``(k_1, ..., k_n)`` sits at the
-    mixed-radix position ``sum(k_i * stride_i)``, the last axis fastest.
-    Each player's costs are ranked once per distinct vector object
-    (``normal_form`` shares one per play or outcome; equal costs in
-    distinct objects get equal ranks), and the line minima are taken on
+    mixed-radix position ``sum(k_i * stride_i)``, the last axis fastest;
+    ``values[leaf]`` is the leaf's value per player. Each player's values
+    are ranked once per leaf (equal values get equal ranks), the ranks are
+    mapped to the cells through ``flat``, and the line minima are taken on
     those integer ranks.
     """
     if not flat:
         return frozenset()
-    ids = list(map(id, flat))
-    distinct = dict(zip(ids, flat))
     good = [True] * len(flat)
     stride = len(flat)
-    for i, n in enumerate(shape):
+    for n, column in zip(shape, zip(*values)):
         stride //= n
         if n == 1:
             continue  # one strategy: every cell is its own line
-        rank: dict[int, int] = {}
-        previous = None
-        for key, vector in sorted(distinct.items(), key=lambda item: item[1][i]):
-            if previous is None or previous < vector[i]:
-                level = len(rank)
-            rank[key] = level
-            previous = vector[i]
-        ranks = list(map(rank.__getitem__, ids))
+        level = {value: k for k, value in enumerate(sorted(set(column)))}
+        ranks = list(map(list(map(level.__getitem__, column)).__getitem__, flat))
         good = list(map(and_, good, map(eq, ranks, _line_minima(ranks, n, stride))))
     return frozenset(itertools.compress(itertools.product(*map(range, shape)), good))
 
@@ -367,8 +403,8 @@ def _line_minima(ranks: list[int], n: int, stride: int) -> list[int]:
 
 def find_all_ne(game: Game, start: int | None = None, cap: int | None = None) -> list[Situation]:
     """Every Nash equilibrium from the given start, by full enumeration."""
-    nf = normal_form(game, start, cap)
-    return _situations_at(game.graph, nf.axes, nf.ne)
+    axes, walked = _walked(game, (_require_start(game, start),), cap)
+    return _situations_at(game.graph, axes, next(walked)[2])
 
 
 def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
@@ -376,12 +412,13 @@ def find_all_une(game: Game, cap: int | None = None) -> list[Situation]:
     g = game.graph
     if not g.nonterminals:
         return [Situation.of(g, {})]  # the one situation; nobody can deviate
+    axes, walked = _walked(game, g.nonterminals, cap)
     surviving = None
-    for nf in _normal_forms(game, g.nonterminals, cap):
-        surviving = nf.ne if surviving is None else surviving & nf.ne
+    for _, _, ne in walked:
+        surviving = ne if surviving is None else surviving & ne
         if not surviving:
             return []
-    return _situations_at(g, nf.axes, surviving)
+    return _situations_at(g, axes, surviving)
 
 
 def _situations_at(graph: GameGraph, axes, indices) -> list[Situation]:
@@ -389,18 +426,22 @@ def _situations_at(graph: GameGraph, axes, indices) -> list[Situation]:
     by their moves.
 
     Each axis strategy's moves are checked against the edges once, where
-    ``Situation.of`` would check them once per situation.
+    ``Situation.of`` would check them once per situation. A situation's
+    moves are its players' targets one after another (each player's
+    vertices in id order), behind the None every terminal takes, put in
+    vertex order by one ``itemgetter``.
     """
     chain = itertools.chain.from_iterable
     if not graph.edge_set.issuperset(chain(chain(axes))):
         bad = next(m for m in chain(chain(axes)) if m not in graph.edge_set)
         raise PathgamesError(f"chosen move {bad} is not an edge")
-    found = []
-    for index in indices:
-        choice = dict(chain(map(getitem, axes, index)))
-        found.append(tuple(map(choice.get, range(graph.n_vertices))))
-    found.sort()
-    return [Situation(moves) for moves in found]
+    second = itemgetter(1)
+    targets = [[tuple(map(second, s)) for s in axis] for axis in axes]
+    slot = {v: k for k, v in enumerate(sorted(graph.nonterminals, key=graph.owner.__getitem__), 1)}
+    order = [slot.get(v, 0) for v in range(graph.n_vertices)]
+    pick = itemgetter(*order) if len(order) > 1 else lambda row: (row[order[0]],)
+    found = sorted(pick(sum(map(getitem, targets, index), (None,))) for index in indices)
+    return list(map(Situation, found))
 
 
 @dataclass(frozen=True)
@@ -572,9 +613,9 @@ def _deviation_leaves(
     ``player`` deviates and everyone else keeps ``moves``.
 
     The walk branches over ``g.out[v]`` at the player's vertices and follows
-    ``moves[v]`` elsewhere; a leaf is a terminal or a repeated vertex. Its
-    value is ``_walk_rank``'s from ``root`` on the player's ``row``
-    (``by_play`` as there). Its first cell is ``sum(pos_v * stride[v])``
+    ``moves[v]`` elsewhere. Its leaves are valued by ``_play_tree``'s leaf
+    rule on the player's ``row`` (``by_play`` as ``_walk_rank``'s), from
+    ``root``. A leaf's first cell is ``sum(pos_v * stride[v])``
     over the player's vertices on the walk, the first of its strategies in
     ``itertools.product`` order. An explicit stack keeps long plays off the
     interpreter's.

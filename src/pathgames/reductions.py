@@ -432,6 +432,5 @@ def une_preprocess(game: TerminalGame) -> UnePrep:
     for v in g.nonterminals:
         best = small.best_terminal(v)
         dropped.extend((v, w) for w in g.out[v] if g.is_terminal(w) and w != best)
-    can_reach = graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices))
-    unreachable = frozenset(v for v in g.nonterminals if v not in can_reach)
+    unreachable = frozenset(v for v in g.nonterminals if v not in g._toward_terminals)
     return UnePrep(small, cmap, tuple(dropped), unreachable)

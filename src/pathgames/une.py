@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import graphalg
 from .errors import (
     ConditionViolated,
     InternalCheckFailed,
@@ -137,14 +136,15 @@ def uniform_best_improvement(
 def initial_basic_situation(game: TerminalGame) -> Situation:
     """Starting situation with finite plays everywhere that can have them.
 
-    One reverse breadth-first in-tree toward the terminals
-    (``graphalg.tree_toward``) points each vertex at its lowest-id
-    out-neighbor one layer closer; a terminal-adjacent one takes its
-    controller-best terminal move instead. Vertices that cannot reach a
-    terminal take their lowest-id move and stay out of the dynamics.
+    The graph's reverse breadth-first in-tree toward the terminals
+    (``GameGraph._toward_terminals``, the search ``une_preprocess`` also
+    reads) points each vertex at its lowest-id out-neighbor one layer
+    closer; a terminal-adjacent one takes its controller-best terminal move
+    instead. Vertices that cannot reach a terminal take their lowest-id
+    move and stay out of the dynamics.
     """
     g = game.graph
-    choice = graphalg.tree_toward(g._into, g.terminals, range(g.n_vertices))
+    choice = dict(g._toward_terminals)
     for v in g.nonterminals:
         if v not in choice:
             choice[v] = g.out[v][0]

@@ -4,13 +4,13 @@ These trace and re-cost every cell and every deviation from scratch, with
 one ``effective_cost`` call per player and play and a ``Fraction`` or
 ``ExtCost`` comparison per deviation, and scan for equilibria by comparing
 costs cell by cell. The library's normal form walks the tree of plays from
-its start instead of tracing each cell, costs each distinct play (shortest
-path games) or outcome (terminal games) once per call and scans on integer
-ranks. Its deviation check walks each player's tree of deviation plays
-once per distinct first branch on the game's integer cost table, shared
-by every start that reaches it, and traces and costs exactly only a
-failing report's witness; tests require both to return identical cells,
-equilibria, reports and exceptions.
+its start instead of tracing each cell, values each distinct play once on
+the game's integer cost table and scans on integer ranks; its equilibrium
+searches build no cost cells at all. Its deviation check walks each
+player's tree of deviation plays once per distinct first branch on the
+same table, shared by every start that reaches it, and traces and costs
+exactly only a failing report's witness; tests require both to return
+identical cells, equilibria, situations, reports and exceptions.
 """
 
 from __future__ import annotations
@@ -37,12 +37,16 @@ def normal_form_cells(game, start):
     ]
     cells = {}
     for index in itertools.product(*(range(len(a)) for a in axes)):
-        choice = {}
-        for strategies, k in zip(axes, index):
-            choice.update(dict(strategies[k]))
-        situation = Situation.of(g, choice)
-        cells[index] = cost_vector(game, situation, start)
+        cells[index] = cost_vector(game, situation_at(g, axes, index), start)
     return axes, cells
+
+
+def situation_at(g, axes, index):
+    """The situation that plays strategy ``index[i]`` of ``axes[i]`` for each player."""
+    choice = {}
+    for strategies, k in zip(axes, index):
+        choice.update(dict(strategies[k]))
+    return Situation.of(g, choice)
 
 
 def ne_indices(axes, cells):
@@ -63,6 +67,20 @@ def ne_indices(axes, cells):
         if all(costs[i] == best[i][index[:i] + index[i + 1:]] for i in range(n)):
             out.add(index)
     return frozenset(out)
+
+
+def equilibria(game, starts):
+    """The situations that are equilibria from every start, sorted by their
+    moves; the starts' normal forms are built in order until none is left."""
+    surviving = None
+    for start in starts:
+        axes, cells = normal_form_cells(game, start)
+        ne = ne_indices(axes, cells)
+        surviving = ne if surviving is None else surviving & ne
+        if not surviving:
+            return []
+    found = [situation_at(game.graph, axes, index) for index in surviving]
+    return sorted(found, key=lambda situation: situation.moves)
 
 
 def verify_exhaustive(game, situation, start):

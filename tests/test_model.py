@@ -101,13 +101,17 @@ def test_edge_symmetric_terminal_exemption():
     assert is_edge_symmetric(game.graph)
 
 
-def test_edge_symmetry_is_computed_once_per_graph():
+def test_edge_symmetry_is_computed_once_per_graph(monkeypatch):
+    # counts runs of the cached property's function, however it computes
     scans = []
+    cached = GameGraph._edge_symmetric
+    compute = cached.func
 
-    class CountingGraph(GameGraph):
-        def is_terminal(self, v):
-            scans.append(v)
-            return super().is_terminal(v)
+    def counting(graph):
+        scans.append(graph)
+        return compute(graph)
+
+    monkeypatch.setattr(cached, "func", counting)
 
     rng = random.Random(12)
     for _ in range(20):
@@ -115,7 +119,7 @@ def test_edge_symmetry_is_computed_once_per_graph():
         inner = sorted((u, v) for u, v in g.edge_set if not g.is_terminal(v))
         drop = rng.choice(inner) if inner else None
         for edges in (g.edges, tuple(e for e in g.edges if e != drop)):
-            graph = CountingGraph(g.owner, edges, g.n_players, g.initial, g.names)
+            graph = GameGraph(g.owner, edges, g.n_players, g.initial, g.names)
             expected = all(
                 (v, u) in edges for u, v in edges if graph.owner[v] is not None
             )

@@ -369,6 +369,85 @@ def test_costing_once_matches_the_per_cell_reference():
     assert failing >= 100 and undefined >= 10, (failing, undefined)
 
 
+def _three_player_sp(rng):
+    """3-player SP game on 7-9 vertices, one to three moves per position at
+    costs in {-1, 0, 0, 1}: zero-cost moves, self-loops, and zero-sum
+    cycles with and without nonzero moves."""
+    n = rng.randint(7, 9)
+    n_pos = rng.randint(5, n - 1)
+    owner = [rng.randint(1, 3) for _ in range(n_pos)] + [None] * (n - n_pos)
+    edges = {(v, w) for v in range(n_pos) for w in rng.sample(range(n), rng.choice((1, 1, 2, 2, 3)))}
+    cost = {e: tuple(rng.choice((-1, 0, 0, 1)) for _ in range(3)) for e in edges}
+    return sp_game(owner, cost, 3)
+
+
+def test_equilibrium_searches_match_the_reference_without_cells():
+    # find_all_ne and find_all_une build no cost cells: their lists, or
+    # their ZeroSumMixedCycle messages, equal the reference's, which builds
+    # every normal form cell by cell
+    rng = random.Random(59)
+    checked = three_player = found = undefined = 0
+    for k in range(1000):
+        game = _three_player_sp(rng) if k % 2 else ORACLE_SOURCES[k // 2 % len(ORACLE_SOURCES)](rng)
+        g = game.graph
+        if oracle.situation_count(g) > 400:
+            continue
+        start = rng.choice(g.nonterminals)
+        for run, reference in (
+            (lambda: oracle.find_all_ne(game, start), (start,)),
+            (lambda: oracle.find_all_une(game), g.nonterminals),
+        ):
+            got = _outcome(run)
+            assert got == _outcome(lambda: oracle_reference.equilibria(game, reference)), game
+            found += 0 if isinstance(got, str) else len(got)
+            undefined += isinstance(got, str)
+        checked += 1
+        three_player += k % 2
+        if checked == 400:
+            break
+    assert checked == 400 and three_player >= 150, (checked, three_player)
+    assert found >= 4000 and undefined >= 150, (found, undefined)
+    # past the cap both refuse as the enumeration of situations does
+    with pytest.raises(TooLarge) as refused:
+        list(oracle.enumerate_situations(game, cap=1))
+    for run in (lambda: oracle.find_all_ne(game, start, cap=1), lambda: oracle.find_all_une(game, 1)):
+        with pytest.raises(TooLarge, match=f"^{re.escape(str(refused.value))}$"):
+            run()
+    # with one vertex, a situation's moves are a 1-tuple
+    loop = sp_game([1], {(0, 0): (0,)}, 1)
+    assert oracle.find_all_ne(loop, 0) == oracle.find_all_une(loop) == [Situation((0,))]
+
+
+def test_the_mixed_cycle_first_in_cell_order_is_raised():
+    # vertex 0 is the only choice, player 1's, so 0 -> 1 is cell 0 and
+    # 0 -> 2 cell 1. The walk takes 0 -> 2 first: its cycle 2 -> 4 -> 2 is
+    # mixed for player 1. The cycle 1 -> 3 -> 1 of cell 0 is mixed for
+    # player 2 only. Cell order wins over walk order and player order.
+    game = sp_game(
+        [1, 2, 2, 1, 1],
+        {(0, 1): (0, 0), (0, 2): (0, 0), (1, 3): (1, 1), (3, 1): (1, -1),
+         (2, 4): (1, 1), (4, 2): (-1, 1)},
+        n_players=2, initial=0,
+    )
+    g = game.graph
+    with pytest.raises(ZeroSumMixedCycle) as later:
+        oracle_reference.cost_vector(game, Situation.of(g, {0: 2, 1: 3, 2: 4, 3: 1, 4: 2}), 0)
+    assert (later.value.player, later.value.cycle) == (1, (2, 4))
+    with pytest.raises(ZeroSumMixedCycle) as expected:
+        oracle_reference.normal_form_cells(game, 0)
+    assert (expected.value.player, expected.value.cycle) == (2, (1, 3))
+    for run in (
+        lambda: oracle.normal_form(game),
+        lambda: oracle.find_all_ne(game),
+        lambda: oracle.find_all_une(game),
+    ):
+        with pytest.raises(ZeroSumMixedCycle) as raised:
+            run()
+        assert (raised.value.player, raised.value.cycle, str(raised.value)) == (
+            2, (1, 3), str(expected.value),
+        )
+
+
 def _deviation_trees(g, situation, starts):
     """``(player, first branch, distinct deviation plays)`` per player and
     each distinct first branch of the starts, in start order, by tracing
@@ -392,15 +471,16 @@ def _deviation_trees(g, situation, starts):
 
 
 def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
-    # a normal form traces nothing and costs each distinct play or outcome
-    # once; a passing deviation check traces nothing, values each start's
-    # current play once per player, and walks one tree per player and
-    # distinct first branch (the first vertex of a start's current play
+    # a normal form traces and costs no play: its walk has one leaf per
+    # distinct play; a passing deviation check traces nothing, values each
+    # start's current play once per player, and walks one tree per player
+    # and distinct first branch (the first vertex of a start's current play
     # where the player has a choice) with one leaf per distinct deviation
     # play from it; a failing one traces and exactly costs only its
     # report's two plays
     real_trace = play.trace
     real_leaves = oracle._deviation_leaves
+    real_tree = oracle._play_tree
     traces = genutil.count_calls(monkeypatch, play, "trace")
     walks = genutil.count_calls(monkeypatch, play, "_walk_rank")
     sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
@@ -413,9 +493,17 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
         return found
 
     monkeypatch.setattr(oracle, "_deviation_leaves", leaves)
+    walked = []
+
+    def tree(*args):
+        flat, values = real_tree(*args)
+        walked.append(len(values))
+        return flat, values
+
+    monkeypatch.setattr(oracle, "_play_tree", tree)
 
     def counted(run):
-        for calls in (traces, walks, sp_costs, terminal_costs, trees):
+        for calls in (traces, walks, sp_costs, terminal_costs, trees, walked):
             calls.clear()
         result = run()
         return result, len(traces), len(walks), len(sp_costs), len(terminal_costs)
@@ -431,11 +519,8 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
         start = rng.choice(g.nonterminals)
         nf, n_traces, _, sp_n, terminal_n = counted(lambda: oracle.normal_form(game, start))
         plays = {real_trace(g, nf.situation_at(i, g), start) for i in nf.cells}
-        assert n_traces == 0
-        if isinstance(game, SPGame):
-            assert (sp_n, terminal_n) == (len(plays) * n, 0)
-        else:
-            assert (sp_n, terminal_n) == (0, len({p.terminal for p in plays}) * n)
+        assert (n_traces, sp_n, terminal_n) == (0, 0, 0)
+        assert walked == [len(plays)]
         candidates = [(_random_situation(rng, g), start), (_random_situation(rng, g), None)]
         candidates += [(nf.situation_at(i, g), start) for i in sorted(nf.ne)[:2]]
         if isinstance(game, SPGame):
@@ -682,29 +767,31 @@ _GRID_COSTS = (
 
 def test_equilibrium_scan_matches_the_cell_by_cell_reference():
     # seeded grids with 1-4 players, axes of length 1, ties on a line,
-    # infinite costs, and cells holding distinct but equal vectors
+    # infinite costs, and distinct leaves holding equal vectors; each cell
+    # names its leaf, as a normal form's play tree does
     rng = random.Random(41)
     with_ne = without_ne = 0
     for k in range(600):
         costs = _GRID_COSTS[k % 2]
         n_players = 1 + k % 4
         shape = tuple(rng.choice((1, 1, 2, 3, 4)) for _ in range(n_players))
-        shared = [tuple(rng.choice(costs) for _ in range(n_players))
+        values = [tuple(rng.choice(costs) for _ in range(n_players))
                   for _ in range(rng.randint(1, 6))]
-        flat = []
+        shared, flat = range(len(values)), []
         for _ in range(math.prod(shape)):
-            vector = rng.choice(shared)
-            if rng.random() < 0.3:  # an equal vector in a new tuple
-                vector = tuple(copy.copy(c) for c in vector)
-            flat.append(vector)
-        cells = dict(zip(itertools.product(*map(range, shape)), flat))
-        got = oracle._ne_indices(shape, flat)
-        assert got == oracle_reference.ne_indices(shape, cells), (shape, flat)
+            leaf = rng.choice(shared)
+            if rng.random() < 0.3:  # an equal vector on a new leaf
+                values.append(tuple(copy.copy(c) for c in values[leaf]))
+                leaf = len(values) - 1
+            flat.append(leaf)
+        cells = dict(zip(itertools.product(*map(range, shape)), map(values.__getitem__, flat)))
+        got = oracle._ne_indices(shape, flat, values)
+        assert got == oracle_reference.ne_indices(shape, cells), (shape, flat, values)
         with_ne += bool(got)
         without_ne += not got
     assert with_ne >= 300 and without_ne >= 10, (with_ne, without_ne)
     # a player with a vertex and no move there has no strategy at all
-    assert oracle._ne_indices((2, 0), []) == frozenset()
+    assert oracle._ne_indices((2, 0), [], []) == frozenset()
 
 
 @pytest.mark.parametrize("start", [-1, 3])

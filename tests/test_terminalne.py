@@ -292,6 +292,6 @@ def test_theorems_2_and_3_build_no_sub_game_and_lift_with_one_search(monkeypatch
         searches.clear()
         solve_theorem3(game)
         assert builds == []
-        assert len(searches) == 3  # the reach set, the first situation, the lift
+        assert len(searches) == 2  # the graph's one search toward the terminals, the lift
     assert set(per_lift) == {1}
     assert case3 >= 50 and merged >= 20, (case3, merged)
