@@ -69,6 +69,18 @@ def _print_outcome(game: Game, situation: Situation, start: int) -> None:
         print(f"cost player {p}: {oracle.effective_cost(game, play, p)}")
 
 
+def _write_out(path: str, text: str) -> int:
+    """Write an output file; a path that cannot be written is a usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_PARSE
+    print(f"wrote {path}")
+    return 0
+
+
 def _cmd_validate(args) -> int:
     game = gamefiles.load_game(args.file)
     violations = validate(game)
@@ -91,31 +103,26 @@ def _load_valid(path: str) -> Game:
 def _cmd_solve(args) -> int:
     game = _load_valid(args.file)
     start = _resolve_vertex(game, args.start)
-    if args.kind == "sp-ne":
-        if not isinstance(game, SPGame):
-            raise GameFormatError("sp-ne expects a shortest path game file")
-        situation = solve_theorem1(game, start, transform=args.transform)
+    sp = args.kind == "sp-ne"
+    if not isinstance(game, SPGame if sp else TerminalGame):
+        kind = "a shortest path" if sp else "a terminal"
+        raise GameFormatError(f"{args.kind} expects {kind} game file")
+    if args.kind != "une":
+        if sp:
+            situation = solve_theorem1(game, start, transform=args.transform)
+        else:
+            situation = solve_theorem2(game, start)
         _print_outcome(game, situation, start if start is not None else game.graph.initial)
-    elif args.kind == "terminal-ne":
-        if not isinstance(game, TerminalGame):
-            raise GameFormatError("terminal-ne expects a terminal game file")
-        situation = solve_theorem2(game, start)
-        _print_outcome(game, situation, start if start is not None else game.graph.initial)
-    else:
-        if not isinstance(game, TerminalGame):
-            raise GameFormatError("une expects a terminal game file")
-        result = solve_theorem3(game)
-        print(f"situation: {result.situation.describe(game.graph)}")
-        print(f"rounds: {result.rounds}")
-        if args.trace:
-            print(f"nu: {' '.join(str(x) for x in result.nu_trajectory)}")
-            names = result.prep.game.graph.names
-            for k, (player, changed) in enumerate(result.steps, start=1):
-                moved = ",".join(names[v] for v in changed)
-                print(
-                    f"step {k}: player {player} "
-                    f"nu={result.nu_trajectory[k]} changed={moved}"
-                )
+        return 0
+    result = solve_theorem3(game)
+    print(f"situation: {result.situation.describe(game.graph)}")
+    print(f"rounds: {result.rounds}")
+    if args.trace:
+        print(f"nu: {' '.join(str(x) for x in result.nu_trajectory)}")
+        names = result.prep.game.graph.names
+        for k, (player, changed) in enumerate(result.steps, start=1):
+            moved = ",".join(names[v] for v in changed)
+            print(f"step {k}: player {player} nu={result.nu_trajectory[k]} changed={moved}")
     return 0
 
 
@@ -125,20 +132,12 @@ def _cmd_oracle(args) -> int:
     if args.kind == "normal-form":
         nf = oracle.normal_form(game, start)
         if args.csv:
-            with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(nf.to_csv(game.graph))
-            print(f"wrote {args.csv}")
-        elif game.graph.n_players == 2:
-            print(nf.to_text(game.graph), end="")
-        else:
-            print(nf.to_csv(game.graph), end="")
+            return _write_out(args.csv, nf.to_csv(game.graph))
+        grid = nf.to_text if game.graph.n_players == 2 else nf.to_csv
+        print(grid(game.graph), end="")
         return 0
-    if args.kind == "ne":
-        found = oracle.find_all_ne(game, start)
-        print(f"{len(found)} NE found")
-    else:
-        found = oracle.find_all_une(game)
-        print(f"{len(found)} UNE found")
+    found = oracle.find_all_ne(game, start) if args.kind == "ne" else oracle.find_all_une(game)
+    print(f"{len(found)} {args.kind.upper()} found")
     for situation in found:
         print(situation.describe(game.graph))
     return 0
@@ -149,10 +148,8 @@ def _cmd_examples(args) -> int:
         raise GameFormatError(
             f"unknown example {args.name!r}; choose from {', '.join(sorted(BUNDLED))}"
         )
-    path = args.out or f"{args.name}.json"
-    gamefiles.save_game(BUNDLED[args.name](), path)
-    print(f"wrote {path}")
-    return 0
+    game = BUNDLED[args.name]()
+    return _write_out(args.out or f"{args.name}.json", gamefiles.dump_game(game))
 
 
 def _parse_situation(game: Game, text: str) -> Situation:
@@ -178,11 +175,8 @@ def _cmd_export_dot(args) -> int:
     situation = _parse_situation(game, args.situation) if args.situation else None
     text = gamefiles.to_dot(game, situation)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+        return _write_out(args.out, text)
+    print(text, end="")
     return 0
 
 

@@ -29,7 +29,8 @@ class NotPositive(PreconditionError):
 
 
 class NonPositiveCycle(PreconditionError):
-    """A directed cycle has a non-positive cost sum for some player."""
+    """A directed cycle has a non-positive cost sum for some player: ``cycle``,
+    listed from its smallest vertex, not necessarily of minimum mean."""
 
     def __init__(self, player: int, cycle: tuple[int, ...]):
         self.player = player

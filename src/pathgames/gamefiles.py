@@ -117,7 +117,10 @@ def game_from_dict(data: dict) -> Game:
     for vid in range(n):
         entry = by_id[vid]
         owner.append(_parse_owner(entry.get("owner"), n_players))
-        names.append(str(entry.get("name", vid)))
+        name = entry.get("name", str(vid))
+        if type(name) is not str:
+            raise GameFormatError(f"vertex {vid}: name must be a JSON string, got {name!r}")
+        names.append(name)
 
     initial = data.get("initial")
     if initial is not None and (type(initial) is not int or not 0 <= initial < n):

@@ -8,9 +8,9 @@ callables return ``int``s. Callers with rational costs multiply them by
 one positive common multiple of the denominators first (``SPGame`` keeps
 one such integer table per game). Scaling keeps every sum, comparison and
 tie, so an integer result ``r`` stands exactly for ``r / scale``.
-Distances and potentials come back as ints, the minimum cycle mean as an
-exact ratio of ints. Every tie is broken by vertex id so repeated runs
-produce identical results.
+Distances and potentials come back as ints, the minimum cycle mean as a
+``Fraction``; cycles with a sum <= 0 come from Bellman-Ford. Every tie is
+broken by vertex id so repeated runs produce identical results.
 """
 
 from __future__ import annotations
@@ -197,25 +197,60 @@ def canonical_path(
     return path
 
 
+def _bellman_ford(out: Rows, weight: Weight) -> tuple[list[int], list[int] | None]:
+    """Shortest walk costs from a virtual all-zero source, and a negative
+    cycle listed from its smallest vertex (then the costs are not final).
+
+    A vertex still relaxed in pass n lies n parent steps from a cycle of
+    the parent pointers, and every such cycle is negative.
+    """
+    n = len(out)
+    weighted = [(u, v, weight(u, v)) for u, row in enumerate(out) for v in row]
+    dist = [0] * n
+    parent = [-1] * n
+    last = -1
+    for _ in range(n):
+        last = -1
+        for u, v, w in weighted:
+            cand = dist[u] + w
+            if cand < dist[v]:
+                dist[v] = cand
+                parent[v] = u
+                last = v
+        if last < 0:
+            break
+    if last < 0:
+        return dist, None
+    for _ in range(n):
+        last = parent[last]
+    back = [last]  # the cycle against the moves
+    while parent[back[-1]] != last:
+        back.append(parent[back[-1]])
+    k = back.index(min(back))
+    return dist, back[k::-1] + back[:k:-1]
+
+
 def bellman_ford_potentials(out: Rows, weight: Weight) -> list[int]:
     """Shortest walk cost to each vertex from a virtual all-zero source.
 
     The caller must guarantee there is no negative cycle; InternalCheckFailed
     here means that guarantee was broken.
     """
+    dist, cycle = _bellman_ford(out, weight)
+    if cycle is not None:
+        raise InternalCheckFailed("negative cycle in potential computation")
+    return dist
+
+
+def nonpositive_cycle(out: Rows, weight: Weight) -> list[int] | None:
+    """Some cycle with a weight sum <= 0, listed from its smallest vertex,
+    or None. It need not have the minimum mean.
+
+    Bellman-Ford runs on ``n * weight - 1``: a cycle of k <= n moves with
+    integer sum S weighs n*S - k there, which is negative iff S <= 0.
+    """
     n = len(out)
-    weighted = [(u, v, weight(u, v)) for u, row in enumerate(out) for v in row]
-    dist = [0] * n
-    for _ in range(n):
-        changed = False
-        for u, v, w in weighted:
-            cand = dist[u] + w
-            if cand < dist[v]:
-                dist[v] = cand
-                changed = True
-        if not changed:
-            return dist
-    raise InternalCheckFailed("negative cycle in potential computation")
+    return _bellman_ford(out, lambda u, v: n * weight(u, v) - 1)[1]
 
 
 def _karp_min_mean(m: int, ledges: list[tuple[int, int, int]]) -> tuple[int, int] | None:
@@ -255,72 +290,12 @@ def _karp_min_mean(m: int, ledges: list[tuple[int, int, int]]) -> tuple[int, int
     return best
 
 
-def _extract_mean_cycle(
-    comp: list[int], ledges: list[tuple[int, int, int]], mean: tuple[int, int]
-) -> list[int]:
-    """Find a cycle of the given (minimum) mean ``num / den`` inside one component.
-
-    ``ledges`` are the component's edges over local ids (positions in
-    ``comp``), in sorted order. After shifting every weight by the mean,
-    minimum-mean cycles become zero-sum and lie entirely on tight
-    shortest-path edges; the shift is multiplied by ``den`` to stay integral.
-    """
-    num, den = mean
-    m = len(comp)
-    shifted = {(u, v): w * den - num for u, v, w in ledges}
-    rows: list[list[int]] = [[] for _ in range(m)]
-    for u, v in shifted:
-        rows[u].append(v)
-    pot = bellman_ford_potentials(rows, lambda u, v: shifted[u, v])
-    tight: list[list[int]] = [[] for _ in range(m)]
-    for (u, v), s in shifted.items():
-        if pot[u] + s == pot[v]:
-            tight[u].append(v)
-    # Any cycle of tight edges telescopes to a zero shifted sum.
-    color = [0] * m
-    stack_pos = [0] * m
-    for root in range(m):
-        if color[root]:
-            continue
-        path: list[int] = []
-        work: list[tuple[int, int]] = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                color[v] = 1
-                stack_pos[v] = len(path)
-                path.append(v)
-            advanced = False
-            while ei < len(tight[v]):
-                w = tight[v][ei]
-                ei += 1
-                if color[w] == 1:
-                    cyc = [comp[x] for x in path[stack_pos[w]:]]
-                    k = cyc.index(min(cyc))
-                    return cyc[k:] + cyc[:k]
-                if color[w] == 0:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            work.pop()
-            color[v] = 2
-            path.pop()
-    raise InternalCheckFailed(f"no cycle of mean {num}/{den} found in component {comp}")
-
-
-def min_cycle_mean(out: Rows, weight: Weight) -> tuple[Fraction | None, list[int] | None]:
-    """Exact minimum directed-cycle mean of the ``out`` rows and, when it
-    is <= 0, a witness cycle.
+def min_cycle_mean(out: Rows, weight: Weight) -> Fraction | None:
+    """Exact minimum directed-cycle mean of the ``out`` rows; None if acyclic.
 
     Karp's recurrence runs per strongly connected component, on weighted
-    triples of the component's moves over local ids. Returns (None, None)
-    when the graph is acyclic and (mean, None) when the mean is positive:
-    extracting the witness costs a second Bellman-Ford and a search, and
-    only callers that reject a non-positive cycle read it. The witness
-    cycle is listed from its smallest vertex.
+    triples of the component's moves over local ids. The components' means
+    are compared by cross-multiplying, and one Fraction is built at the end.
     """
     n = len(out)
     comps = strongly_connected_components(out)
@@ -336,13 +311,8 @@ def min_cycle_mean(out: Rows, weight: Weight) -> tuple[Fraction | None, list[int
             if comp_id[u] == comp_id[v]:
                 inner[comp_id[u]].append((local[u], local[v], weight(u, v)))
     best: tuple[int, int] | None = None
-    best_i = 0
     for i, comp in enumerate(comps):
         mean = _karp_min_mean(len(comp), inner[i])
         if mean is not None and (best is None or mean[0] * best[1] < best[0] * mean[1]):
-            best, best_i = mean, i
-    if best is None:
-        return None, None
-    if best[0] > 0:  # den > 0, so the mean is positive
-        return Fraction(*best), None
-    return Fraction(*best), _extract_mean_cycle(comps[best_i], inner[best_i], best)
+            best = mean
+    return None if best is None else Fraction(*best)

@@ -455,7 +455,8 @@ class PositivityReport:
 
     ``edge_positive`` is the defining condition (every cost > 0);
     ``cycle_positive`` is the weaker cycle-sum condition. On a cycle failure,
-    one witness cycle and the affected player are reported.
+    the lowest such player and one cycle of sum <= 0 are reported, not
+    necessarily of minimum mean.
     """
 
     edge_positive: bool
@@ -479,8 +480,8 @@ def is_positive(game: SPGame) -> PositivityReport:
         return PositivityReport(True, True)
     g = game.graph
     for player in g.players:
-        mean, cycle = graphalg.min_cycle_mean(g.out, game._int_weight(player))
-        if mean is not None and mean <= 0:
+        cycle = graphalg.nonpositive_cycle(g.out, game._int_weight(player))
+        if cycle is not None:
             return PositivityReport(False, False, player, tuple(cycle))
     return PositivityReport(False, True)
 

@@ -57,9 +57,11 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     """Reweight costs so every edge is strictly positive for every player.
 
     Requires every directed cycle to have a positive cost sum for every
-    player. For each player the new cost is l(u,v) + pi(u) - pi(v) where pi
-    solves the difference constraints l(u,v) + pi(u) - pi(v) >= eps via
-    shortest-path potentials, with eps set to half the minimum cycle mean.
+    player, else raises NonPositiveCycle on some cycle of sum <= 0 (found
+    only then, and not necessarily of minimum mean). For each player the
+    new cost is l(u,v) + pi(u) - pi(v) where pi solves the difference
+    constraints l(u,v) + pi(u) - pi(v) >= eps via shortest-path
+    potentials, with eps set to half the minimum cycle mean.
     Every path from u to v changes cost by pi(u) - pi(v), so paths between
     the same endpoints keep their order and a game with a single terminal
     keeps its equilibria. Paths to different terminals t and t' shift by
@@ -84,9 +86,9 @@ def gallai_transform(game: SPGame) -> GallaiResult:
     rows = []  # per player: (common factor, reduced unit, new costs in units)
     for player in g.players:
         weight = game._int_weight(player)
-        mean, cycle = graphalg.min_cycle_mean(g.out, weight)
+        mean = graphalg.min_cycle_mean(g.out, weight)
         if mean is not None and mean <= 0:
-            raise NonPositiveCycle(player, tuple(cycle))
+            raise NonPositiveCycle(player, tuple(graphalg.nonpositive_cycle(g.out, weight)))
         num, den = (mean.numerator, mean.denominator) if mean is not None else (2 * scale, 1)
         shifted = {(u, v): 2 * den * weight(u, v) - num for u, v in edges}
         pi = graphalg.bellman_ford_potentials(g.out, lambda u, v: shifted[u, v])

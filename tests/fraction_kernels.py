@@ -1,10 +1,10 @@
 """Reference graph kernels over ``Fraction``s.
 
 These are straightforward exact implementations of the minimum cycle mean
-(Karp 1978), its witness cycle, Bellman-Ford potentials and the
-lexicographic (cost, hops) Dijkstra in both directions. They take edge
-lists and build their own rows, with components from ``genutil.scc_naive``,
-so they share no code with the library's kernels. The library runs the
+(Karp 1978), Bellman-Ford potentials and the lexicographic (cost, hops)
+Dijkstra in both directions. They take edge lists and build their own
+rows, with components from ``genutil.scc_naive``, so they share no code
+with the library's kernels. The library runs the
 same algorithms on integer-scaled weights over adjacency rows; tests
 require both to return identical values.
 """
@@ -65,7 +65,8 @@ def lex_dist_from(n, edges, weight, sources):
 def bellman_ford_potentials(n, edges, weight):
     edge_list = sorted(set(edges))
     dist = [Fraction(0)] * n
-    for _ in range(n):
+    # n + 1 passes: pass n + 1 changes only on a negative cycle, also at n = 0
+    for _ in range(n + 1):
         changed = False
         for u, v in edge_list:
             cand = dist[u] + weight(u, v)
@@ -110,56 +111,6 @@ def _karp_min_mean(comp, edges, weight):
     return best
 
 
-def _extract_mean_cycle(comp, edges, weight, mean):
-    shifted = lambda u, v: weight(u, v) - mean
-    pot = {v: Fraction(0) for v in comp}
-    for _ in range(len(comp)):
-        changed = False
-        for u, v in sorted(edges):
-            cand = pot[u] + shifted(u, v)
-            if cand < pot[v]:
-                pot[v] = cand
-                changed = True
-        if not changed:
-            break
-    tight = {v: [] for v in comp}
-    for u, v in sorted(edges):
-        if pot[u] + shifted(u, v) == pot[v]:
-            tight[u].append(v)
-    color = {v: 0 for v in comp}
-    stack_pos = {}
-    for root in comp:
-        if color[root]:
-            continue
-        path = []
-        work = [(root, 0)]
-        while work:
-            v, ei = work[-1]
-            if ei == 0:
-                color[v] = 1
-                stack_pos[v] = len(path)
-                path.append(v)
-            advanced = False
-            while ei < len(tight[v]):
-                w = tight[v][ei]
-                ei += 1
-                if color[w] == 1:
-                    cyc = path[stack_pos[w]:]
-                    k = cyc.index(min(cyc))
-                    return cyc[k:] + cyc[:k]
-                if color[w] == 0:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-            work.pop()
-            color[v] = 2
-            path.pop()
-    raise AssertionError(f"no cycle of mean {mean} found in component {comp}")
-
-
 def min_cycle_mean(n, edges, weight):
     edge_list = sorted(set(edges))
     comps = genutil.scc_naive(n, genutil.out_rows(n, edge_list))
@@ -167,7 +118,7 @@ def min_cycle_mean(n, edges, weight):
     for i, comp in enumerate(comps):
         for v in comp:
             comp_id[v] = i
-    best = best_comp = best_edges = None
+    best = None
     for comp in comps:
         inner = [
             (u, v) for u, v in edge_list
@@ -175,7 +126,5 @@ def min_cycle_mean(n, edges, weight):
         ]
         mean = _karp_min_mean(comp, inner, weight)
         if mean is not None and (best is None or mean < best):
-            best, best_comp, best_edges = mean, comp, inner
-    if best is None:
-        return None, None
-    return best, _extract_mean_cycle(best_comp, best_edges, weight, best)
+            best = mean
+    return best

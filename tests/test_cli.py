@@ -558,3 +558,37 @@ def test_unloadable_files_are_parse_errors(capsys, tmp_path, name):
     assert run(capsys, "validate", str(path)) == (
         2, "", f"error: {message.format(path=path)}\n"
     )
+
+
+# the commands that write a file, given a writer of bundled game files
+_WRITERS = {
+    "examples": lambda file: ("examples", "g2", "--out"),
+    "oracle-csv": lambda file: ("oracle", "normal-form", file("fig1-pm"), "--csv"),
+    "export-dot": lambda file: ("export-dot", file("g6s"), "--out"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_WRITERS))
+def test_unwritable_output_path_is_a_usage_error(capsys, example_file, tmp_path, command):
+    # the output's directory does not exist: exit 2, nothing written, no traceback
+    out_path = tmp_path / "missing" / "out.txt"
+    assert run(capsys, *_WRITERS[command](example_file), str(out_path)) == (
+        2, "", f"error: cannot write {out_path}: No such file or directory\n"
+    )
+    assert not out_path.parent.exists()
+
+
+@pytest.mark.parametrize("name", [None, True, 3, [], {"a": 1}],
+                         ids=["null", "true", "int", "list", "object"])
+def test_vertex_name_must_be_a_string(capsys, tmp_path, name):
+    vertices = [{"id": 0, "name": "v1", "owner": 1}, {"id": 1, "name": name, "owner": 2},
+                {"id": 2, "owner": "T"}]
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(_chain_dict(vertices=vertices)))
+    assert run(capsys, "validate", str(path)) == (
+        2, "", f"error: vertex 1: name must be a JSON string, got {name!r}\n"
+    )
+    # an absent name reads as the id
+    del vertices[1]["name"]
+    path.write_text(json.dumps(_chain_dict(vertices=vertices)))
+    assert gamefiles.load_game(str(path)).graph.names == ("v1", "1", "2")

@@ -10,6 +10,7 @@ import fraction_kernels
 import genutil
 from pathgames import graphalg
 from pathgames.errors import InternalCheckFailed
+from pathgames.model import is_positive, sp_game
 
 
 def random_digraph(rng, n_max=7):
@@ -25,7 +26,8 @@ def random_digraph(rng, n_max=7):
 def weighted_digraphs(rng, count):
     """Random digraphs under every kind of weight the cycle kernels must
     handle exactly: mixed denominators 1-7, plain ints, negative and
-    zero-mean cycles, self-loops, and acyclic graphs."""
+    zero-mean cycles, self-loops, and acyclic graphs; then the graphs of
+    0 and 1 vertices."""
     for _ in range(count):
         n, edges = random_digraph(rng)
         yield n, edges, {e: Fraction(rng.randint(-5, 9), rng.randint(1, 3)) for e in edges}
@@ -37,6 +39,11 @@ def weighted_digraphs(rng, count):
         yield n, edges, {(u, v): pi[u] - pi[v] + rng.choice((0, 0, 1)) for u, v in edges}
         dag = [(u, v) for u, v in edges if u < v]
         yield n, dag, {e: Fraction(rng.randint(-5, 9), rng.randint(1, 7)) for e in dag}
+    # no vertex, and one vertex without and with a self-loop of each sign
+    yield 0, [], {}
+    yield 1, [], {}
+    for w in (Fraction(-1, 2), 0, 2):
+        yield 1, [(0, 0)], {(0, 0): w}
 
 
 def nonnegative_digraphs(rng, count):
@@ -82,33 +89,80 @@ def test_min_cycle_mean_against_brute_force():
     for n, edges, weights in weighted_digraphs(rng, 60):
         weight = lambda u, v: weights[(u, v)]
         iweight, scale = int_weights(weights)
-        rows = genutil.out_rows(n, edges)
-        mean, cycle = graphalg.min_cycle_mean(rows, iweight)
-        if mean is not None and mean > 0:
-            # A witness comes only with a mean <= 0. Shifting every weight
-            # by the mean keeps the minimum-mean cycles and makes their
-            # mean 0, so the shifted graph yields the same witness.
-            assert cycle is None
-            num, den = mean.numerator, mean.denominator
-            shifted = lambda u, v: iweight(u, v) * den - num
-            zero, cycle = graphalg.min_cycle_mean(rows, shifted)
-            assert zero == 0
+        mean = graphalg.min_cycle_mean(genutil.out_rows(n, edges), iweight)
         if mean is not None:
             mean /= scale
-        assert (mean, cycle) == fraction_kernels.min_cycle_mean(n, edges, weight)
+        assert mean == fraction_kernels.min_cycle_mean(n, edges, weight)
         cycles = genutil.simple_cycles(n, edges)
         if not cycles:
-            assert mean is None and cycle is None
+            assert mean is None
             continue
         best = min(
             Fraction(sum(weight(u, v) for u, v in zip(c + (c[0],), (c + (c[0],))[1:])), len(c))
             for c in cycles
         )
         assert mean == best
-        closed = list(cycle) + [cycle[0]]
-        witness_mean = Fraction(sum(weight(u, v) for u, v in zip(closed, closed[1:])), len(cycle))
-        assert witness_mean == mean
-        assert all((u, v) in weights for u, v in zip(closed, closed[1:]))
+
+
+def cycle_sign_graphs(rng, count):
+    """Integer-weighted digraphs of 0-8 vertices: plain weights (self-loops
+    included), potential differences with 0/1 bumps (many zero-sum cycles),
+    and acyclic graphs."""
+    for i in range(count):
+        n = rng.randint(0, 8)
+        p = rng.choice((0.15, 0.3, 0.45))
+        edges = [(u, v) for u in range(n) for v in range(n) if rng.random() < p]
+        if i % 3 == 0:
+            yield n, edges, {e: rng.randint(-3, 6) for e in edges}
+        elif i % 3 == 1:
+            pi = [rng.randint(-5, 5) for _ in range(n)]
+            yield n, edges, {(u, v): pi[u] - pi[v] + rng.choice((0, 0, 1)) for u, v in edges}
+        else:
+            dag = [(u, v) for u, v in edges if u < v]
+            yield n, dag, {e: rng.randint(-3, 6) for e in dag}
+
+
+def closed_walk_sum(cycle, weights):
+    closed = list(cycle) + [cycle[0]]
+    return sum(weights[(u, v)] for u, v in zip(closed, closed[1:]))
+
+
+def test_nonpositive_cycle_against_brute_force():
+    rng = random.Random(8)
+    found = zero = second = 0
+    for n, edges, weights in cycle_sign_graphs(rng, 600):
+        cycle = graphalg.nonpositive_cycle(
+            genutil.out_rows(n, edges), lambda u, v: weights[(u, v)]
+        )
+        sums = [closed_walk_sum(c, weights) for c in genutil.simple_cycles(n, edges)]
+        assert (cycle is None) == all(s > 0 for s in sums)
+        if cycle is not None:
+            found += 1
+            assert all((u, v) in weights for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+            assert len(set(cycle)) == len(cycle)
+            assert cycle[0] == min(cycle)
+            total = closed_walk_sum(cycle, weights)
+            assert total <= 0
+            zero += total == 0
+        # The same graph as a game: player 2 has the weights, player 1 the
+        # weights plus one. Sinks are terminals.
+        owners = [1 + v % 2 if any(u == v for u, _ in edges) else None for v in range(n)]
+        costs = {e: (w + 1, w) for e, w in weights.items()}
+        report = is_positive(sp_game(owners, costs, 2))
+        verdicts = [
+            fraction_kernels.min_cycle_mean(n, edges, lambda u, v: costs[(u, v)][p])
+            for p in (0, 1)
+        ]
+        positive = [m is None or m > 0 for m in verdicts]
+        assert report.cycle_positive == all(positive)
+        if not report.cycle_positive:
+            player = positive.index(False) + 1
+            second += player == 2
+            assert report.witness_player == player
+            witness = report.witness_cycle
+            assert witness[0] == min(witness) and len(set(witness)) == len(witness)
+            assert closed_walk_sum(witness, {e: c[player - 1] for e, c in costs.items()}) <= 0
+    assert found >= 150 and zero >= 100 and second >= 100
 
 
 def test_lex_dist_matches_plain_dijkstra():
@@ -250,10 +304,3 @@ def test_tree_toward_ignores_self_loops_and_never_keys_a_root():
     assert _tree(4, edges, [0]) == {1: 0, 3: 0}
     assert _tree(4, edges, [0, 3]) == {1: 0}
     assert _tree(4, edges, [0, 1, 3]) == {}
-
-
-def test_wrong_minimum_mean_fails_the_cycle_extraction(monkeypatch):
-    # a mean below every cycle's leaves no zero-sum cycle on the tight edges
-    monkeypatch.setattr(graphalg, "_karp_min_mean", lambda m, edges: (0, 1))
-    with pytest.raises(InternalCheckFailed, match="no cycle of mean 0/1 found in component"):
-        graphalg.min_cycle_mean([[1], [0]], lambda u, v: 1)

@@ -159,21 +159,27 @@ def test_terminal_to_sp_game_without_moves():
 
 
 def test_witness_cycle_is_extracted_only_on_the_error_path(monkeypatch, fig1_pm, fig1_p):
-    extracted = genutil.count_calls(monkeypatch, graphalg, "_extract_mean_cycle")
     rng = random.Random(89)
-    transformed = 0
-    while transformed < 10:
+    games = []
+    while len(games) < 10:
         game = genutil.random_positive_cycle_sp(rng)
-        if is_positive(game).edge_positive:
-            continue
+        if not is_positive(game).edge_positive:
+            games.append(game)
+    found = genutil.count_calls(monkeypatch, graphalg, "nonpositive_cycle")
+    means = genutil.count_calls(monkeypatch, graphalg, "min_cycle_mean")
+    for game in games:
         gallai_transform(game)
-        transformed += 1
-    assert extracted == []
+    assert found == [] and len(means) == sum(g.graph.n_players for g in games)
     for game in (fig1_pm, fig1_p):
-        extracted.clear()
+        # player 1 already has a non-positive cycle, so player 2 is not searched
+        found.clear()
+        means.clear()
         report = is_positive(game)
-        assert report.witness_cycle is not None
-        assert len(extracted) == 1
+        assert report.witness_player == 1 and report.witness_cycle == (0, 1)
+        assert len(found) == 1 and means == []
+        with pytest.raises(NonPositiveCycle):
+            gallai_transform(game)
+        assert len(found) == 2 and len(means) == 1
 
 
 def test_terminal_to_sp_fractional_costs_scale():

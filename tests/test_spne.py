@@ -12,7 +12,14 @@ import pytest
 import genutil
 import pathgames
 from pathgames import graphalg, model, oracle, spne
-from pathgames.errors import InternalCheckFailed, NotPositive, NotSymmetric, Unreachable
+from pathgames.errors import (
+    InternalCheckFailed,
+    MeasureNotDecreased,
+    NotPositive,
+    NotSymmetric,
+    Unreachable,
+    VerificationFailed,
+)
 from pathgames.model import (
     SPGame,
     Situation,
@@ -442,12 +449,9 @@ def test_solve_theorem1_random_cross_check():
     assert enumerated >= 5
 
 
-def test_make_special_fallback_route(monkeypatch):
-    # force the single-splice search to fail so the full-relaxation fallback
-    # must produce the same repaired path
-    import pathgames.spne as spne_mod
-
-    game = sp_game(
+def _detour_game():
+    """One player whose shortest path 0 -> 1 -> 3 is beaten by 0 -> 2 -> 1 -> 3."""
+    return sp_game(
         [1, 1, 1, None],
         {
             (0, 1): (10,), (1, 0): (10,),
@@ -456,13 +460,38 @@ def test_make_special_fallback_route(monkeypatch):
             (1, 3): (1,),
         },
         n_players=1,
+        initial=0,
     )
+
+
+def test_make_special_fallback_route(monkeypatch):
+    # force the single-splice search to fail so the full-relaxation fallback
+    # must produce the same repaired path
+    game = _detour_game()
     dec = decompose(game)
     base = lambda_shortest(game, dec, 0)
-    monkeypatch.setattr(spne_mod, "_best_splice", lambda *a, **k: None)
+    monkeypatch.setattr(spne, "_best_splice", lambda *a, **k: None)
     sp = make_special(game, dec, base)
     assert sp.vertices == (0, 2, 1, 3)
     assert sp.r_vector == (Fraction(3),)
+
+
+def test_make_special_rejects_a_splice_that_does_not_shrink_the_measure(monkeypatch):
+    # a "splice" that returns the path itself leaves the measure as it was
+    game = _detour_game()
+    dec = decompose(game)
+    base = lambda_shortest(game, dec, 0)
+    monkeypatch.setattr(spne, "_best_splice", lambda game, dec, sp, player: list(sp.vertices))
+    with pytest.raises(MeasureNotDecreased,
+                       match="^improvement for player 1 did not shrink the measure$"):
+        make_special(game, dec, base)
+
+
+def test_solve_theorem1_verifies_its_situation(monkeypatch):
+    # skipping the repair leaves the costly path, which the verifier refuses
+    monkeypatch.setattr(spne, "make_special", lambda game, dec, base: base)
+    with pytest.raises(VerificationFailed, match="^constructed situation admits a deviation: "):
+        solve_theorem1(_detour_game())
 
 
 def test_theorem1_runs_at_most_one_cycle_pass(monkeypatch):

@@ -15,7 +15,7 @@ import genutil
 import une_reference
 import pathgames
 from pathgames import graphalg, oracle, play, une
-from pathgames.errors import ConditionViolated, PotentialNotDecreased
+from pathgames.errors import ConditionViolated, PotentialNotDecreased, VerificationFailed
 from pathgames.model import Situation, terminal_game
 from pathgames.play import terminal_cost, trace
 from pathgames.reductions import _check_table_values, une_preprocess
@@ -518,6 +518,49 @@ def test_stalled_improvement_breaks_the_potential(monkeypatch):
     with pytest.raises(PotentialNotDecreased) as exc:
         solve_theorem3(game)
     assert str(exc.value) == f"potential went {nu} -> {nu} on improvement 2"
+
+
+def test_improvement_must_strictly_improve_every_changed_move(monkeypatch):
+    # the re-check reads the old outcomes, so the switch to 2 gains nothing
+    game = terminal_game([1, None, None], [(0, 1), (0, 2)], {1: (-1,), 2: (-5,)}, n_players=1)
+    before = Situation((1, None, None))
+    monkeypatch.setattr(une, "_check_table_values", lambda *args: play.outcomes(game.graph, before))
+    with pytest.raises(VerificationFailed,
+                       match="^move changed at vertex 0 without strict improvement$"):
+        uniform_best_improvement(game, before, 1)
+
+
+def _two_exits_game():
+    """Players 1 and 2 at 0 and 1, each next to the other and to every
+    terminal; the players rank terminals 2, 3, 4 in opposite orders."""
+    return terminal_game(
+        [1, 2, None, None, None],
+        [(0, 1), (1, 0)] + [(u, w) for u in (0, 1) for w in (2, 3, 4)],
+        {2: (-3, -1), 3: (-2, -2), 4: (-1, -3)},
+        n_players=2,
+    )
+
+
+def _scripted(monkeypatch, *moves):
+    """Make the improvements return these situations, one per call."""
+    script = iter(Situation(m) for m in moves)
+    monkeypatch.setattr(une, "uniform_best_improvement", lambda *a, **k: next(script))
+
+
+def test_theorem3_rejects_an_improvement_that_degrades_a_vertex(monkeypatch):
+    # 0 -> 4, 1 -> 3 holds ranks -1 + -2; then 0 -> 2, 1 -> 2 holds -3 + -1:
+    # the potential falls from -3 to -4, but vertex 1 goes from -2 to -1
+    _scripted(monkeypatch, (4, 3, None, None, None), (2, 2, None, None, None))
+    with pytest.raises(PotentialNotDecreased,
+                       match="^value at vertex 1 degraded -2 -> -1 on improvement 2$"):
+        solve_theorem3(_two_exits_game())
+
+
+def test_theorem3_rejects_an_improvement_that_makes_a_play_infinite(monkeypatch):
+    _scripted(monkeypatch, (1, 0, None, None, None))
+    with pytest.raises(VerificationFailed,
+                       match="^improvement made the play from vertex 0 infinite$"):
+        solve_theorem3(_two_exits_game())
 
 
 def test_terminal_path_checks_raise_under_dash_O():
