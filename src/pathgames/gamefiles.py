@@ -113,14 +113,15 @@ def game_from_dict(data: dict) -> Game:
     if n_players > bound:
         raise GameFormatError(f"players must be at most {bound} for {n} vertices, got {n_players}")
     owner = []
-    names = []
+    names = {}  # each name to its vertex, in id order: a label names one vertex
     for vid in range(n):
         entry = by_id[vid]
         owner.append(_parse_owner(entry.get("owner"), n_players))
         name = entry.get("name", str(vid))
         if type(name) is not str:
             raise GameFormatError(f"vertex {vid}: name must be a JSON string, got {name!r}")
-        names.append(name)
+        if names.setdefault(name, vid) != vid:
+            raise GameFormatError(f"vertices {names[name]} and {vid} are both named {name!r}")
 
     initial = data.get("initial")
     if initial is not None and (type(initial) is not int or not 0 <= initial < n):

@@ -1,6 +1,6 @@
 """Brute-force ground truth: enumeration, normal forms, NE/UNE search.
 
-Everything here is exhaustive, but each distinct play is walked once:
+Everything here is exhaustive, but ``_play_tree`` walks each distinct play once:
 
 - a normal form walks the tree of plays from its start and values each
   distinct play on the game's integer cost table as it reaches it; only
@@ -257,8 +257,13 @@ def normal_form(game: Game, start: int | None = None, cap: int | None = None) ->
 
 
 def _walked(game: Game, starts, cap) -> tuple[tuple, Iterator[tuple]]:
-    """The axes, built once, and each start's ``_play_tree`` and equilibria
-    ``(flat, values, ne)`` in turn."""
+    """The axes, built once, and each start's ``(flat, values, ne)`` in turn.
+
+    ``flat`` lists each cell's leaf: a leaf of ``_play_tree`` fills the
+    sub-box of cells that agree with its moves on its walk. The ``_MIXED``
+    leaf with the smallest first cell raises ZeroSumMixedCycle for its
+    lowest such player, as costing the leaves in cell order would.
+    """
     g = game.graph
     count = situation_count(g)
     limit = _within_cap(count, cap)
@@ -266,59 +271,93 @@ def _walked(game: Game, starts, cap) -> tuple[tuple, Iterator[tuple]]:
         tuple(tuple(s.items()) for s in player_strategies(g, p, cap=limit)) for p in g.players
     )
     shape = [len(a) for a in axes]
-    # the cells' mixed radix: the vertices with a choice by player, then id
-    branching = [v for v in sorted(g.nonterminals, key=g.owner.__getitem__) if len(g.out[v]) > 1]
-    stride = {v: prod(len(g.out[u]) for u in branching[i + 1:]) for i, v in enumerate(branching)}
-    offsets = {v: range(0, len(g.out[v]) * step, step) for v, step in stride.items()}
-    by_play, rows = isinstance(game, SPGame), game._int_costs[1]
-    keys = list(rows[0])  # the moves, or a terminal game's outcomes
-    columns = [list(map(row.__getitem__, keys)) for row in rows]
-    if by_play:  # then whether each move's cost is nonzero
-        columns += [list(map(bool, column)) for column in columns]
-    table = dict(zip(keys, zip(*columns)))
+    verts = sorted(g.nonterminals, key=g.owner.__getitem__)  # the cells' radix: by player, then id
+    rows = [g.out[v] for v in verts]
+    offsets = _offsets(verts, rows)
+    by_play = isinstance(game, SPGame)
+    table = _table(game._int_costs[1], by_play)
 
     def walked():
         for start in starts:
-            flat, values = _play_tree(g, start, count, offsets, table, by_play)
+            flat, values, mixed = [0] * count, [], None
+            leaves = _play_tree(g.out, g.owner, start, offsets, table, by_play) if count else ()
+            for leaf, (value, first, on_walk) in enumerate(leaves):
+                if by_play and _MIXED in value and (mixed is None or first < mixed[0]):
+                    mixed = first, value.index(_MIXED) + 1
+                box = [first]
+                for u, moves in offsets.items():
+                    if u not in on_walk:
+                        box = [c + o for o in moves for c in box]
+                for c in box:
+                    flat[c] = leaf
+                values.append(value)
+            if mixed:
+                situation = Situation.of(g, _cell_moves(verts, rows, mixed[0]))
+                raise ZeroSumMixedCycle(mixed[1], trace(g, situation, start).cycle)
             yield flat, values, _ne_indices(shape, flat, values)
 
     return axes, walked()
 
 
-def _play_tree(g: GameGraph, start: int, count: int, offsets, table, by_play: bool):
-    """Each situation's leaf from ``start``, and each leaf's value vector.
+def _offsets(verts, rows) -> dict:
+    """Each of ``verts`` with a choice to its moves' cell offsets, in the mixed
+    radix over ``rows`` that ``itertools.product`` orders, the last fastest."""
+    offsets, step = {}, 1
+    for v, targets in zip(reversed(verts), reversed(rows)):
+        if len(targets) > 1:
+            offsets[v] = range(0, len(targets) * step, step)
+        step *= len(targets)
+    return offsets
 
-    The walk branches over ``g.out[v]`` at each vertex not yet on it. A leaf
-    (a terminal or a repeated vertex) is one play; its situations are the
-    sub-box of cells ``sum(offsets[v][pos_v])`` that agree with its moves,
-    the smallest its first cell. An explicit stack keeps long plays off the
-    interpreter's.
 
-    The leaf rule, which ``_deviation_leaves`` follows too, is
-    ``play._sp_rank`` on a player's integer cost row: the walk keeps, per
-    vertex, the running total and count of nonzero moves. A terminal leaf
-    is ``(0, total)``. A cycle closing at ``w`` with sum ``s = total -
-    total(w)`` is ``(1, 0)`` or ``(-1, 0)`` by its sign, else ``_MIXED`` if
-    the count grew since ``w``, else ``(0, total(w))``. Terminal games take
-    ``row[t]``, or ``row[None]`` for a cycle. After the walk, the ``_MIXED``
-    leaf with the smallest first cell raises ZeroSumMixedCycle for its
-    lowest such player, as costing the leaves in cell order would.
+def _cell_moves(verts, rows, cell: int) -> dict[int, int]:
+    """The move at each of ``verts`` in the cell at ``cell`` of ``_offsets``'s radix."""
+    moves = {}
+    for v, targets in zip(reversed(verts), reversed(rows)):
+        cell, k = divmod(cell, len(targets))
+        moves[v] = targets[k]
+    return moves
+
+
+def _table(costs, by_play: bool) -> dict:
+    """Each move (or outcome) to its cost on each integer row of ``costs``,
+    then, by play, whether each of those is nonzero."""
+    keys = list(costs[0])
+    columns = [list(map(row.__getitem__, keys)) for row in costs]
+    if by_play:
+        columns += [list(map(bool, column)) for column in columns]
+    return dict(zip(keys, zip(*columns)))
+
+
+def _play_tree(rows, owner, start: int, offsets, table, by_play: bool) -> Iterator[tuple]:
+    """``(value, first cell, live walk)`` for each distinct play from ``start``.
+
+    The walk branches over ``rows[v]`` at each vertex not yet on it; a leaf
+    (a terminal or a repeated vertex) is one play. A cell is
+    ``sum(offsets[v][pos_v])`` over the vertices with a choice, and a leaf's
+    first cell takes position 0 off its walk. The live walk maps the leaf's
+    walk, in order, to each vertex's sums; it holds until the next leaf. An
+    explicit stack keeps long plays off the interpreter's.
+
+    The leaf rule is ``play._sp_rank`` on each cost column of ``_table``'s
+    ``table``: the walk keeps, per vertex, the running total and count of
+    nonzero moves. A terminal leaf is ``(0, total)``. A cycle closing at
+    ``w`` with sum ``s = total - total(w)`` is ``(1, 0)`` or ``(-1, 0)`` by
+    its sign, else ``_MIXED`` if the count grew since ``w``, else ``(0,
+    total(w))``. Terminal games take ``table[t]``, or ``table[None]`` for a
+    cycle.
     """
-    out, owner = g.out, g.owner
-    n = g.n_players
+    n = len(next(iter(table.values()))) // 2  # by play, n cost columns, then n counts
     finite = (0,) * n
-    flat, values = [0] * count, []
-    mixed = None  # (first cell, player, cycle) of the _MIXED leaf first in cell order
     on_walk: dict = {}  # the walk in order, each vertex to its totals and nonzero counts
-    sums = finite * 2 if by_play else ()
-    todo = [(start, 0, 0, sums)] if count else []  # a vertex to enter, its depth, first cell, sums
+    todo = [(start, 0, 0, finite * 2 if by_play else ())]  # vertex, depth, first cell, sums
     while todo:
         v, depth, base, sums = todo.pop()
         while len(on_walk) > depth:
             on_walk.popitem()
         on_walk[v] = sums
         offset = offsets.get(v, (0,))
-        for i, w in enumerate(out[v]):
+        for i, w in enumerate(rows[v]):
             first = base + offset[i]
             here = tuple(map(add, sums, table[v, w])) if by_play else sums
             if owner[w] is not None and w not in on_walk:
@@ -333,20 +372,7 @@ def _play_tree(g: GameGraph, start: int, count: int, offsets, table, by_play: bo
                 value = tuple(
                     ((1 if s > 0 else -1), 0) if s else _MIXED if grew else (0, a)
                     for s, grew, a in zip(map(sub, here, at), map(gt, here[n:], at[n:]), at))
-                if _MIXED in value and (mixed is None or first < mixed[0]):
-                    walk = tuple(on_walk)
-                    mixed = first, value.index(_MIXED) + 1, walk[walk.index(w):]
-            leaf = len(values)
-            values.append(value)
-            box = [first]
-            for u, moves in offsets.items():
-                if u not in on_walk:
-                    box = [c + o for o in moves for c in box]
-            for c in box:
-                flat[c] = leaf
-    if mixed:
-        raise ZeroSumMixedCycle(*mixed[1:])
-    return flat, values
+            yield value, first, on_walk
 
 
 def _ne_indices(shape, flat, values) -> frozenset[tuple[int, ...]]:
@@ -523,17 +549,18 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
     Each start's current play is valued by ``play._walk_rank``. Every
     deviation from a start follows the same forced moves up to the first
     vertex where the player has a choice, its first branch ``b``; each
-    distinct ``b`` has one tree of deviation plays (``_deviation_leaves``),
-    shared by all the starts that reach it. Why a start's events are the
-    events of its ``b``'s tree, valued from ``b``: the prefix has no choice,
-    so it adds no cell offset, and it adds the same cost to every finite
-    value, the current one included. A play that closes a cycle into a
-    prefix vertex ``x`` would, valued from ``b``, run forced from ``x`` back
-    to ``b`` and close there: the same cycle, so the same sum and the same
-    mixed verdict; for an all-zero cycle ``x -> b`` costs 0, so the approach
-    cost from the start is the one from ``b`` plus the prefix cost. A
-    start's first event is then the smallest first cell among its tree's
-    events.
+    distinct ``b`` has one ``_play_tree`` of deviation plays on the player's
+    row alone, branching at the player's vertices and following
+    ``situation`` elsewhere, shared by all the starts that reach it. Why a
+    start's events are the events of its ``b``'s tree, valued from ``b``:
+    the prefix has no choice, so it adds no cell offset, and it adds the
+    same cost to every finite value, the current one included. A play that
+    closes a cycle into a prefix vertex ``x`` would, valued from ``b``, run
+    forced from ``x`` back to ``b`` and close there: the same cycle, so the
+    same sum and the same mixed verdict; for an all-zero cycle ``x -> b``
+    costs 0, so the approach cost from the start is the one from ``b`` plus
+    the prefix cost. A start's first event is then the smallest first cell
+    among its tree's events.
     """
     g = game.graph
     starts = g.nonterminals if start is None else (start,)
@@ -545,9 +572,11 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
         memo: dict = {}
         cur = [_walk_rank(g.owner, moves, row, v, memo, by_play) for v in starts]
         limit = next((i for i, c in enumerate(cur) if c is _MIXED), len(starts))
-        stride, step = {}, 1
-        for v, targets in zip(reversed(verts), reversed(rows)):
-            stride[v], step = step, step * len(targets)
+        offsets = _offsets(verts, rows)
+        tree = list(zip(moves))  # the situation's move at each vertex, the player's every move
+        for v, targets in zip(verts, rows):
+            tree[v] = targets
+        table = _table([row], by_play)
         branch_of: dict = {}
         first_event: dict = {}  # each distinct first branch to its smallest event cell, or None
         witness = None
@@ -557,10 +586,9 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
                 continue  # the current play is the only one
             if b not in first_event:
                 now = memo[b]  # b lies on the current play from starts[i]
-                leaves = _deviation_leaves(g, moves, row, player, b, stride, by_play)
-                first_event[b] = min(
-                    (cell for value, cell in leaves if value is _MIXED or value < now), default=None
-                )
+                leaves = _play_tree(tree, g.owner, b, offsets, table, by_play)
+                events = (cell for (value,), cell, _ in leaves if value is _MIXED or value < now)
+                first_event[b] = min(events, default=None)
             if first_event[b] is not None:
                 limit, witness = i, first_event[b]
                 break
@@ -568,11 +596,7 @@ def _verify_exhaustive(game: Game, situation: Situation, start: int | None, cap)
             continue
         v = starts[limit]
         before = effective_cost(game, trace(g, situation, v), player)
-        event, cell = {}, witness
-        for u, targets in zip(reversed(verts), reversed(rows)):
-            cell, k = divmod(cell, len(targets))
-            event[u] = targets[k]
-        deviated = situation.replace(event)
+        deviated = situation.replace(_cell_moves(verts, rows, witness))
         after = effective_cost(game, trace(g, deviated, v), player)
         return VerifyReport(
             False, player, v, deviated,
@@ -604,45 +628,3 @@ def _first_branch(g: GameGraph, player: int, moves, start: int, memo: dict) -> i
     for u in walk:
         memo[u] = branch
     return branch
-
-
-def _deviation_leaves(
-    g: GameGraph, moves, row, player: int, root: int, stride, by_play: bool
-) -> list:
-    """``(value, first cell)`` of each distinct play from ``root`` as
-    ``player`` deviates and everyone else keeps ``moves``.
-
-    The walk branches over ``g.out[v]`` at the player's vertices and follows
-    ``moves[v]`` elsewhere. Its leaves are valued by ``_play_tree``'s leaf
-    rule on the player's ``row`` (``by_play`` as ``_walk_rank``'s), from
-    ``root``. A leaf's first cell is ``sum(pos_v * stride[v])``
-    over the player's vertices on the walk, the first of its strategies in
-    ``itertools.product`` order. An explicit stack keeps long plays off the
-    interpreter's.
-    """
-    out, owner = g.out, g.owner
-    leaves = []
-    on_walk: dict = {}  # the walk in order, each vertex to its cost and nonzero moves from root
-    todo = [(root, 0, 0, 0, 0)]  # a vertex to enter, its depth, first cell, cost, nonzero moves
-    while todo:
-        v, depth, first, total, nonzero = todo.pop()
-        while len(on_walk) > depth:
-            on_walk.popitem()
-        on_walk[v] = total, nonzero
-        targets, step = (out[v], stride[v]) if owner[v] == player else ((moves[v],), 0)
-        for i, w in enumerate(targets):
-            c = row[v, w] if by_play else 0
-            if owner[w] is None:
-                value = (0, total + c) if by_play else row[w]
-            elif w not in on_walk:
-                todo.append((w, depth + 1, first + i * step, total + c, nonzero + (c != 0)))
-                continue
-            elif by_play:  # the cycle from w back to w
-                at, nonzero_at = on_walk[w]
-                s = total + c - at
-                mixed = nonzero + (c != 0) > nonzero_at
-                value = ((1 if s > 0 else -1), 0) if s else _MIXED if mixed else (0, at)
-            else:
-                value = row[None]
-            leaves.append((value, first + i * step))
-    return leaves

@@ -592,3 +592,20 @@ def test_vertex_name_must_be_a_string(capsys, tmp_path, name):
     del vertices[1]["name"]
     path.write_text(json.dumps(_chain_dict(vertices=vertices)))
     assert gamefiles.load_game(str(path)).graph.names == ("v1", "1", "2")
+
+
+def test_duplicate_vertex_names_exit_2(capsys, tmp_path):
+    # a label resolves to one vertex, and a printed play must name each vertex
+    # apart, so two vertices named `a` are refused as soon as the file loads
+    data = {
+        "players": 1,
+        "vertices": [{"id": 0, "name": "a", "owner": 1}, {"id": 1, "name": "a", "owner": "T"}],
+        "edges": [{"from": 0, "to": 1, "costs": ["1"]}],
+        "initial": 0,
+    }
+    path = tmp_path / "names.json"
+    path.write_text(json.dumps(data))
+    error = "error: vertices 0 and 1 are both named 'a'\n"
+    for command, flags in ((["validate"], []), (["solve", "sp-ne"], []),
+                           (["export-dot"], ["--situation", "a:a"])):
+        assert run(capsys, *command, str(path), *flags) == (2, "", error), command

@@ -2,11 +2,11 @@
 
 Bundled games are written with ``game_to_dict`` and then broken one to
 three ways at a time: values that are not exact rationals, wrong-arity cost
-vectors, keys that name no terminal, duplicate or non-integer ids, and
-structural faults that only ``validate`` sees. Every broken file must either
-be rejected with ``GameFormatError`` or load and report a violation; any
-other exception is a loader defect. The CLI maps these to exit codes 2
-and 3.
+vectors, keys that name no terminal, duplicate or non-integer ids,
+duplicate names, and structural faults that only ``validate`` sees. Every
+broken file must either be rejected with ``GameFormatError`` or load and
+report a violation; any other exception is a loader defect. The CLI maps
+these to exit codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ def _duplicate_id(rng, doc):
     doc["vertices"].append(dict(rng.choice(doc["vertices"])))
 
 
+def _duplicate_name(rng, doc):
+    first, second = rng.sample(doc["vertices"], 2)
+    second["name"] = first["name"]
+
+
 def _bad_id(rng, doc):
     place = rng.choice(["vertex", "from", "to", "initial", "players"])
     value = rng.choice(_BAD_IDS)
@@ -108,7 +113,7 @@ def _dead_end(rng, doc):
 
 
 _MUTATIONS = [
-    _bad_cost, _wrong_arity, _key_not_a_terminal, _duplicate_id, _bad_id,
+    _bad_cost, _wrong_arity, _key_not_a_terminal, _duplicate_id, _duplicate_name, _bad_id,
     _missing_cost, _duplicate_edge, _edge_from_terminal, _dead_end,
 ]
 

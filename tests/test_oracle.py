@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ import genutil
 import oracle_reference
 from pathgames import oracle, play
 from pathgames.errors import PathgamesError, PreconditionError, TooLarge, ZeroSumMixedCycle
-from pathgames.model import ExtCost, SPGame, Situation, sp_game, terminal_game
+from pathgames.model import (
+    ExtCost, SPGame, Situation, lowest_id_situation, sp_game, terminal_game,
+)
 from pathgames.play import trace
 from pathgames.spne import solve_theorem1
 from pathgames.terminalne import solve_theorem2
@@ -418,17 +421,21 @@ def test_equilibrium_searches_match_the_reference_without_cells():
     assert oracle.find_all_ne(loop, 0) == oracle.find_all_une(loop) == [Situation((0,))]
 
 
-def test_the_mixed_cycle_first_in_cell_order_is_raised():
-    # vertex 0 is the only choice, player 1's, so 0 -> 1 is cell 0 and
-    # 0 -> 2 cell 1. The walk takes 0 -> 2 first: its cycle 2 -> 4 -> 2 is
-    # mixed for player 1. The cycle 1 -> 3 -> 1 of cell 0 is mixed for
-    # player 2 only. Cell order wins over walk order and player order.
-    game = sp_game(
+def _mixed_cycles_game():
+    return sp_game(
         [1, 2, 2, 1, 1],
         {(0, 1): (0, 0), (0, 2): (0, 0), (1, 3): (1, 1), (3, 1): (1, -1),
          (2, 4): (1, 1), (4, 2): (-1, 1)},
         n_players=2, initial=0,
     )
+
+
+def test_the_mixed_cycle_first_in_cell_order_is_raised():
+    # vertex 0 is the only choice, player 1's, so 0 -> 1 is cell 0 and
+    # 0 -> 2 cell 1. The walk takes 0 -> 2 first: its cycle 2 -> 4 -> 2 is
+    # mixed for player 1. The cycle 1 -> 3 -> 1 of cell 0 is mixed for
+    # player 2 only. Cell order wins over walk order and player order.
+    game = _mixed_cycles_game()
     g = game.graph
     with pytest.raises(ZeroSumMixedCycle) as later:
         oracle_reference.cost_vector(game, Situation.of(g, {0: 2, 1: 3, 2: 4, 3: 1, 4: 2}), 0)
@@ -479,35 +486,32 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
     # play from it; a failing one traces and exactly costs only its
     # report's two plays
     real_trace = play.trace
-    real_leaves = oracle._deviation_leaves
     real_tree = oracle._play_tree
     traces = genutil.count_calls(monkeypatch, play, "trace")
     walks = genutil.count_calls(monkeypatch, play, "_walk_rank")
     sp_costs = genutil.count_calls(monkeypatch, play, "sp_cost")
     terminal_costs = genutil.count_calls(monkeypatch, play, "terminal_cost")
-    trees = []
+    trees = []  # per walk: its root's owner (a deviation tree's player), root, leaves
 
-    def leaves(g, moves, row, player, root, *rest):
-        found = real_leaves(g, moves, row, player, root, *rest)
-        trees.append((player, root, len(found)))
-        return found
-
-    monkeypatch.setattr(oracle, "_deviation_leaves", leaves)
-    walked = []
-
-    def tree(*args):
-        flat, values = real_tree(*args)
-        walked.append(len(values))
-        return flat, values
+    def tree(rows, owner, root, *rest):
+        leaves = 0
+        for leaf in real_tree(rows, owner, root, *rest):
+            leaves += 1
+            yield leaf
+        trees.append((owner[root], root, leaves))
 
     monkeypatch.setattr(oracle, "_play_tree", tree)
 
     def counted(run):
-        for calls in (traces, walks, sp_costs, terminal_costs, trees, walked):
+        for calls in (traces, walks, sp_costs, terminal_costs, trees):
             calls.clear()
         result = run()
         return result, len(traces), len(walks), len(sp_costs), len(terminal_costs)
 
+    # a normal form that meets a mixed cycle traces only the play it raises for
+    with pytest.raises(ZeroSumMixedCycle):
+        counted(lambda: oracle.normal_form(_mixed_cycles_game()))
+    assert (len(traces), trees) == (1, [(1, 0, 2)])
     rng = random.Random(31)
     passing = failing = terminal_passing = shared = 0
     for k in range(100):
@@ -520,7 +524,7 @@ def test_enumeration_stays_exhaustive_and_costing_is_shared(monkeypatch):
         nf, n_traces, _, sp_n, terminal_n = counted(lambda: oracle.normal_form(game, start))
         plays = {real_trace(g, nf.situation_at(i, g), start) for i in nf.cells}
         assert (n_traces, sp_n, terminal_n) == (0, 0, 0)
-        assert walked == [len(plays)]
+        assert trees == [(g.owner[start], start, len(plays))]
         candidates = [(_random_situation(rng, g), start), (_random_situation(rng, g), None)]
         candidates += [(nf.situation_at(i, g), start) for i in sorted(nf.ne)[:2]]
         if isinstance(game, SPGame):
@@ -622,6 +626,27 @@ def test_deviation_checks_walk_a_forced_chain_in_linear_work():
 
     small, large = lines(1500), lines(3000)
     assert large < 2.5 * small, (small, large)
+
+
+def test_a_deviation_walk_keeps_no_list_of_its_leaves():
+    # a diamond chain of player-1 choices v_i -> a_i | b_i -> v_(i+1), then
+    # v_k -> t: the tree from v_0 has 2**k leaves, and the check's memory
+    # must not grow with them (kept as a list, its 16 384 leaves take about
+    # 1.5 MiB on CPython 3.11)
+    k = 14
+    owner = [1] * (3 * k + 1) + [None]
+    edges = [(3 * i, 3 * i + d) for i in range(k) for d in (1, 2)]
+    edges += [(3 * i + d, 3 * i + 3) for i in range(k) for d in (1, 2)] + [(3 * k, 3 * k + 1)]
+    game = terminal_game(owner, edges, {3 * k + 1: (0,)}, 1)
+    situation = lowest_id_situation(game.graph)
+    tracemalloc.start()
+    try:
+        report = oracle.verify_ne_terminal(game, situation, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 128 * 1024, peak
 
 
 def test_a_check_builds_a_situation_only_for_its_witness(monkeypatch):
